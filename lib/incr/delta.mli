@@ -30,7 +30,10 @@ type t = {
   new_has_eps : bool;  (** does the {e new} graph contain any ε edge? *)
 }
 
-(** Multiset edge diff, one O(|E_old| + |E_new|) pass over both graphs.
+(** Multiset edge diff, one pass over both graphs node by node:
+    O(|E_old| + |E_new|) when each node's surviving edges keep their
+    order (as Lorel updates leave them), plus a sort of the rows that
+    differ past their common prefix.
     This is the delta {e source} for callers that only hold graph
     versions (the store's commit path); callers that know their edits
     can construct {!t} directly. *)

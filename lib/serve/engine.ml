@@ -28,8 +28,8 @@ let m_sub_unchanged = Metrics.counter "incr.sub.unchanged"
 
 (* Per-tenant accounting: labeled metric families, one series per
    tenant label.  Registration is idempotent, so looking the family up
-   on every request is one locked hash probe — no tenant table of our
-   own to keep consistent. *)
+   on every request is one hash probe under the registry's mutex — no
+   tenant table of our own to keep consistent. *)
 type tenant_counters = {
   tc_requests : Metrics.counter;
   tc_bytes_in : Metrics.counter;
@@ -96,37 +96,56 @@ and sub_kind =
       mutable dstate : Relstore.Datalog.Incremental.state;
     }
 
+(* The database-of-record as readers see it: an immutable graph and the
+   number of UPDATEs committed before it.  Published whole through one
+   [Atomic.t], so a reader never sees a graph paired with another
+   graph's version. *)
+type snapshot = {
+  db : Graph.t;
+  version : int;
+}
+
 type store = {
+  (* Writer mutex: serializes UPDATE, SUBSCRIBE, UNSUBSCRIBE and
+     [drop_conn], and guards [subs] and [fp_memo].  Queries never take
+     it. *)
   m : Mutex.t;
-  mutable db : Graph.t;
+  snap : snapshot Atomic.t;
+  (* Held only for single [Unql.Cache] calls, never across evaluation
+     or commit.  Entries are keyed by graph fingerprint, so a reader on
+     an older snapshot can never be served a newer graph's value. *)
+  cache_m : Mutex.t;
   cache : Unql.Cache.t;
   inflight : int Atomic.t;
   req_seq : int Atomic.t;
-  (* Durability hook: called under the lock with the new graph before
-     the in-memory swap, so a failed persist leaves memory unchanged. *)
+  (* Durability hook: called under [m] with the new graph before the
+     snapshot is published, so a failed persist leaves readers on the
+     old version. *)
   mutable persist : (Graph.t -> unit) option;
   (* Annotated DataGuide for slow-query cardinality estimates, cached
      by graph fingerprint (building it walks the whole graph; slow
-     queries on the same database should pay once). *)
-  mutable ann_cache : (int * Ssd_schema.Annotated.t) option;
+     queries on the same database should pay once).  Last writer wins:
+     two readers racing on a new graph may both build it. *)
+  ann_cache : (int * Ssd_schema.Annotated.t) option Atomic.t;
   (* Live subscriptions, shared across engines over this store (an
      UPDATE through any engine notifies them all); guarded by [m]. *)
   subs : (int, sub) Hashtbl.t;
   next_sub : int Atomic.t;
   (* Query-footprint memo for cache revalidation: one analysis per
-     distinct normalized query text, not per update. *)
+     distinct normalized query text, not per update; guarded by [m]. *)
   fp_memo : (string, Unql.Footprint.t) Hashtbl.t;
 }
 
 let store ?(cache_capacity = 128) ~db () =
   {
     m = Mutex.create ();
-    db;
+    snap = Atomic.make { db; version = 0 };
+    cache_m = Mutex.create ();
     cache = Unql.Cache.create ~capacity:cache_capacity ();
     inflight = Atomic.make 0;
     req_seq = Atomic.make 0;
     persist = None;
-    ann_cache = None;
+    ann_cache = Atomic.make None;
     subs = Hashtbl.create 16;
     next_sub = Atomic.make 0;
     fp_memo = Hashtbl.create 64;
@@ -134,12 +153,11 @@ let store ?(cache_capacity = 128) ~db () =
 
 let set_persist store f = store.persist <- Some f
 
-let locked store f =
-  Mutex.lock store.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock store.m) f
+let locked store f = Mutex.protect store.m f
+let with_cache store f = Mutex.protect store.cache_m (fun () -> f store.cache)
 
-let store_db store = locked store (fun () -> store.db)
-let cache_stats store = locked store (fun () -> Unql.Cache.stats store.cache)
+let store_db store = (Atomic.get store.snap).db
+let cache_stats store = with_cache store Unql.Cache.stats
 
 type stats = {
   requests : int;
@@ -153,39 +171,38 @@ type stats = {
 type t = {
   cfg : config;
   st : store;
-  (* engine-local counters, guarded by st.m *)
-  mutable n_requests : int;
-  mutable n_accepted : int;
-  mutable n_shed : int;
-  mutable n_partial : int;
-  mutable n_errors : int;
-  mutable n_updates : int;
+  (* engine-local counters *)
+  n_requests : int Atomic.t;
+  n_accepted : int Atomic.t;
+  n_shed : int Atomic.t;
+  n_partial : int Atomic.t;
+  n_errors : int Atomic.t;
+  n_updates : int Atomic.t;
 }
 
 let create ?(config = default_config) st =
   {
     cfg = config;
     st;
-    n_requests = 0;
-    n_accepted = 0;
-    n_shed = 0;
-    n_partial = 0;
-    n_errors = 0;
-    n_updates = 0;
+    n_requests = Atomic.make 0;
+    n_accepted = Atomic.make 0;
+    n_shed = Atomic.make 0;
+    n_partial = Atomic.make 0;
+    n_errors = Atomic.make 0;
+    n_updates = Atomic.make 0;
   }
 
 let config t = t.cfg
 
 let stats t =
-  locked t.st (fun () ->
-      {
-        requests = t.n_requests;
-        accepted = t.n_accepted;
-        shed = t.n_shed;
-        partial = t.n_partial;
-        errors = t.n_errors;
-        updates = t.n_updates;
-      })
+  {
+    requests = Atomic.get t.n_requests;
+    accepted = Atomic.get t.n_accepted;
+    shed = Atomic.get t.n_shed;
+    partial = Atomic.get t.n_partial;
+    errors = Atomic.get t.n_errors;
+    updates = Atomic.get t.n_updates;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering (matches the ssdql CLI byte-for-byte in text format)      *)
@@ -326,14 +343,14 @@ let eval_query ?(rows = ref None) t ~db ~budget (opts : Proto.options) body =
     | Some b -> map_outcome render_rows (Unql.Eval.eval_outcome ~budget:b ~db q)
     | None ->
       if opts.cache then begin
-        match locked t.st (fun () -> Unql.Cache.find t.st.cache ~db q) with
+        match with_cache t.st (fun c -> Unql.Cache.find c ~db q) with
         | Some g ->
           Metrics.incr m_cache_hits;
           Trace.bump "cache_hit" 1;
           Budget.Complete (render_rows g)
         | None ->
           let g = Unql.Eval.eval ~db q in
-          locked t.st (fun () -> Unql.Cache.add t.st.cache ~db q g);
+          with_cache t.st (fun c -> Unql.Cache.add c ~db q g);
           Budget.Complete (render_rows g)
       end
       else Budget.Complete (render_rows (Unql.Eval.eval ~db q)))
@@ -369,13 +386,12 @@ let eval_query ?(rows = ref None) t ~db ~budget (opts : Proto.options) body =
 
 let annotated_for t db =
   let fp = Unql.Cache.fingerprint db in
-  locked t.st (fun () ->
-      match t.st.ann_cache with
-      | Some (fp', ann) when fp' = fp -> ann
-      | _ ->
-        let ann = Ssd_schema.Annotated.build db in
-        t.st.ann_cache <- Some (fp, ann);
-        ann)
+  match Atomic.get t.st.ann_cache with
+  | Some (fp', ann) when fp' = fp -> ann
+  | _ ->
+    let ann = Ssd_schema.Annotated.build db in
+    Atomic.set t.st.ann_cache (Some (fp, ann));
+    ann
 
 (* Static estimate + planned form for the slow-query event.  Runs only
    for queries already past the slowness threshold, so re-parsing is
@@ -406,10 +422,10 @@ let estimate t ~db (opts : Proto.options) body =
 let truncate_query q =
   if String.length q <= 200 then q else String.sub q 0 200 ^ "..."
 
-let slow_query_event t ~db ~dt_ns ~steps ~rows (opts : Proto.options) body
+let slow_query_event t ~snap ~dt_ns ~steps ~rows (opts : Proto.options) body
     (resp : Proto.response) =
   Metrics.incr m_slow;
-  let est, plan = estimate t ~db opts body in
+  let est, plan = estimate t ~db:snap.db opts body in
   let module J = Ssd.Json in
   let opt_field name = function Some v -> [ (name, v) ] | None -> [] in
   Events.emit Events.default "slow_query"
@@ -422,6 +438,7 @@ let slow_query_event t ~db ~dt_ns ~steps ~rows (opts : Proto.options) body
            ("latency_ms", J.Float (dt_ns /. 1e6));
            ("status", J.String (Proto.status_to_string resp.Proto.status));
            ("detail", J.String resp.Proto.detail);
+           ("version", J.Int snap.version);
          ]
          ;
          opt_field "steps" (Option.map (fun s -> J.Int s) steps);
@@ -436,7 +453,7 @@ let do_query t ~queued (opts : Proto.options) body =
   let tc = tenant_counters (tenant_of opts) in
   let load = queued + Atomic.get t.st.inflight in
   if load > t.cfg.shed_at then begin
-    locked t.st (fun () -> t.n_shed <- t.n_shed + 1);
+    Atomic.incr t.n_shed;
     Metrics.incr m_shed;
     Metrics.incr tc.tc_shed;
     Trace.annotate "shed" (Trace.Bool true);
@@ -461,32 +478,30 @@ let do_query t ~queued (opts : Proto.options) body =
     Fun.protect
       ~finally:(fun () -> Atomic.decr t.st.inflight)
       (fun () ->
-        let db = locked t.st (fun () -> t.st.db) in
+        let snap = Atomic.get t.st.snap in
+        Trace.annotate "version" (Trace.Int snap.version);
         let budget = effective_budget t.cfg opts ~pressured in
         let rows = ref None in
         let t0 = Ssd_obs.Clock.now_ns () in
-        match eval_query ~rows t ~db ~budget opts body with
+        match eval_query ~rows t ~db:snap.db ~budget opts body with
         | outcome ->
           let dt_ns = Ssd_obs.Clock.now_ns () -. t0 in
           let steps = Option.map Budget.steps_used budget in
           (match steps with Some s -> Metrics.add tc.tc_steps s | None -> ());
-          locked t.st (fun () ->
-              t.n_accepted <- t.n_accepted + 1;
-              match outcome with
-              | Budget.Partial _ -> t.n_partial <- t.n_partial + 1
-              | Budget.Complete _ -> ());
+          Atomic.incr t.n_accepted;
           Metrics.incr m_accepted;
           (match outcome with
           | Budget.Partial _ ->
+            Atomic.incr t.n_partial;
             Metrics.incr m_partial;
             Metrics.incr tc.tc_partials
           | Budget.Complete _ -> ());
           let resp = result_response opts outcome in
           if dt_ns >= t.cfg.slow_query_ms *. 1e6 then
-            slow_query_event t ~db ~dt_ns ~steps ~rows:!rows opts body resp;
+            slow_query_event t ~snap ~dt_ns ~steps ~rows:!rows opts body resp;
           resp
         | exception e ->
-          locked t.st (fun () -> t.n_errors <- t.n_errors + 1);
+          Atomic.incr t.n_errors;
           Metrics.incr m_errors;
           error_response opts (diag_of_exn e))
   end
@@ -531,16 +546,16 @@ let drop_conn t conn_id =
       Metrics.set g_subs (float_of_int (Hashtbl.length t.st.subs)))
 
 (* Current result text of a subscription against [db].  UnQL goes
-   through the shared result cache (caller holds the store lock);
+   through the shared result cache (caller holds the writer mutex);
    datalog reads its retained model. *)
 let sub_eval_text st db kind =
   match kind with
   | Sub_unql q -> (
-    match Unql.Cache.find st.cache ~db q with
+    match with_cache st (fun c -> Unql.Cache.find c ~db q) with
     | Some g -> render_graph_text g
     | None ->
       let g = Unql.Eval.eval ~db q in
-      Unql.Cache.add st.cache ~db q g;
+      with_cache st (fun c -> Unql.Cache.add c ~db q g);
       render_graph_text g)
   | Sub_datalog d ->
     render_datalog_sorted (Relstore.Datalog.Incremental.result d.dstate)
@@ -583,7 +598,7 @@ let sub_advance st ~db' ~(d : Ssd_incr.Delta.t) s =
       if text = s.sub_last then None else Some text
     end
 
-(* Notify every live subscription (caller holds the store lock).
+(* Notify every live subscription (caller holds the writer mutex).
    Returns (skipped, pushed).  A subscription whose label footprint is
    disjoint from the delta is skipped without evaluating anything; one
    whose re-evaluation fails is left untouched (the next update retries
@@ -626,7 +641,7 @@ let notify_subs st ~db' ~(d : Ssd_incr.Delta.t) ~delta_labels =
 let do_subscribe t ~push ~conn_id (opts : Proto.options) body =
   match push with
   | None ->
-    locked t.st (fun () -> t.n_errors <- t.n_errors + 1);
+    Atomic.incr t.n_errors;
     Metrics.incr m_errors;
     error_response opts
       (Ssd_diag.make Ssd_diag.Error ~code:"SSD557"
@@ -635,7 +650,7 @@ let do_subscribe t ~push ~conn_id (opts : Proto.options) body =
     match
       lint_gate opts body;
       locked t.st (fun () ->
-          let db = t.st.db in
+          let db = (Atomic.get t.st.snap).db in
           let kind, text =
             match opts.Proto.lang with
             | "unql" ->
@@ -687,7 +702,7 @@ let do_subscribe t ~push ~conn_id (opts : Proto.options) body =
       Proto.response ~detail Proto.Complete
         (render_body opts ~status:Proto.Complete ~detail text)
     | exception e ->
-      locked t.st (fun () -> t.n_errors <- t.n_errors + 1);
+      Atomic.incr t.n_errors;
       Metrics.incr m_errors;
       error_response opts (diag_of_exn e))
 
@@ -717,22 +732,30 @@ let do_unsubscribe t (opts : Proto.options) body =
         (Ssd_diag.make Ssd_diag.Error ~code:"SSD556"
            (Printf.sprintf "unknown subscription id %d" id))
 
-(* UPDATE holds the store lock for the whole parse+apply+swap: updates
-   serialize against each other and against cache fills, and the
-   database-of-record plus the revalidation and subscription pushes are
-   one atomic step — no engine over this store can observe the new graph
-   with the old graph's cache entries still live, and delta frames carry
-   a globally consistent sequence per subscription. *)
+(* UPDATE runs under the writer mutex: updates serialize against each
+   other and against SUBSCRIBE, so delta frames carry a globally
+   consistent sequence per subscription.  Queries take no part in that
+   ordering.  They read the published snapshot, which moves exactly
+   once per UPDATE: after persist and cache revalidation, before the
+   subscription pushes and the ack.  Hence
+   - a query overlapping an UPDATE answers from the last committed
+     version, never from a half-applied one;
+   - once the ack (or any delta frame it caused) is out, every query
+     invoked afterwards sees this version or a later one — no stale
+     answer after an ack;
+   - a failed parse or persist publishes nothing. *)
 let do_update t (opts : Proto.options) body =
   match
     locked t.st (fun () ->
-        let old_db = t.st.db in
+        let old = Atomic.get t.st.snap in
+        let old_db = old.db in
         let db' = Lorel.Update.run ~db:old_db body in
-        (* Persist before swap: a failed write leaves memory (and the
-           cache) exactly as it was, and the error propagates as the
-           response.  The persist layer (Store.commit) acknowledges only
-           after its WAL fsync, so a successful UPDATE response implies
-           the change survives a crash. *)
+        (* Persist before publishing: a failed write leaves the snapshot
+           (and the cache) exactly as they were, and the error
+           propagates as the response.  The persist layer
+           (Store.commit) returns only after its WAL fsync, so a
+           successful UPDATE response implies the change survives a
+           crash. *)
         (match t.st.persist with Some f -> f db' | None -> ());
         (* Delta-driven cache revalidation: entries whose query
            footprint is disjoint from the update's labels are re-keyed
@@ -743,15 +766,17 @@ let do_update t (opts : Proto.options) body =
           Unql.Footprint.disjoint (footprint_of t.st qtext) delta_labels
         in
         let kept, dropped =
-          Unql.Cache.revalidate t.st.cache ~old_db ~new_db:db' ~keep
+          with_cache t.st (fun c -> Unql.Cache.revalidate c ~old_db ~new_db:db' ~keep)
         in
-        t.st.db <- db';
-        t.n_updates <- t.n_updates + 1;
+        let snap = { db = db'; version = old.version + 1 } in
+        Atomic.set t.st.snap snap;
+        Atomic.incr t.n_updates;
         let skipped, pushed = notify_subs t.st ~db' ~d ~delta_labels in
-        (db', d, kept, dropped, skipped, pushed))
+        (snap, d, kept, dropped, skipped, pushed))
   with
-  | db', d, kept, dropped, skipped, pushed ->
+  | { db = db'; version }, d, kept, dropped, skipped, pushed ->
     Metrics.incr m_updates;
+    Trace.annotate "version" (Trace.Int version);
     Events.emit Events.default "incr.update"
       [
         ("tenant", Ssd.Json.String (tenant_of opts));
@@ -764,6 +789,7 @@ let do_update t (opts : Proto.options) body =
         ("subs_pushed", Ssd.Json.Int pushed);
         ("nodes", Ssd.Json.Int (Graph.n_nodes db'));
         ("edges", Ssd.Json.Int (Graph.n_edges db'));
+        ("version", Ssd.Json.Int version);
       ];
     let text =
       Printf.sprintf
@@ -772,7 +798,7 @@ let do_update t (opts : Proto.options) body =
     in
     Proto.response Proto.Complete (render_body opts ~status:Proto.Complete ~detail:"-" text)
   | exception e ->
-    locked t.st (fun () -> t.n_errors <- t.n_errors + 1);
+    Atomic.incr t.n_errors;
     Metrics.incr m_errors;
     error_response opts (diag_of_exn e)
 
@@ -795,6 +821,7 @@ let stats_body t =
         ("partial", J.Int s.partial);
         ("errors", J.Int s.errors);
         ("updates", J.Int s.updates);
+        ("version", J.Int (Atomic.get t.st.snap).version);
       ]
   in
   let snap = Metrics.snapshot_to_json (Metrics.snapshot Metrics.default) in
@@ -860,7 +887,7 @@ let handle ?lane ?(queued = 0) ?push ?conn_id t raw =
   Metrics.incr tc.tc_requests;
   Metrics.add tc.tc_bytes_in (String.length raw);
   Metrics.add tc.tc_bytes_out (String.length resp.Proto.body);
-  locked t.st (fun () -> t.n_requests <- t.n_requests + 1);
+  Atomic.incr t.n_requests;
   (resp, close)
 
 let handle_line ?lane ?queued t raw =

@@ -9,15 +9,34 @@
     {2 Shared state}
 
     Several engines may serve the same {!store}: the store owns the
-    mutable database-of-record, the shared {!Unql.Cache} (plan/result
-    cache keyed by normalized query × graph fingerprint — client B hits
-    the entry client A warmed), and the admission-control counters.  All
-    store access is guarded by one mutex; query evaluation itself runs
-    {e outside} the lock against an immutable snapshot of the graph, so
-    requests evaluate concurrently.  An [UPDATE] swaps the
-    database-of-record and invalidates the old graph's cache entries
-    while holding the lock, so no engine over the store can serve a
-    stale result afterwards (regression-tested).
+    database-of-record, the shared {!Unql.Cache} (plan/result cache
+    keyed by normalized query × graph fingerprint — client B hits the
+    entry client A warmed), the live subscriptions and the
+    admission-control in-flight count.
+
+    The database-of-record is a published {e snapshot}: an immutable
+    graph plus its version, the number of [UPDATE]s committed before
+    it.  A [QUERY] reads the current snapshot with one atomic load and
+    takes no writer lock, so it never waits behind an [UPDATE]'s
+    commit.  Writers ([UPDATE], [SUBSCRIBE], [UNSUBSCRIBE] and
+    {!drop_conn}) serialize on a writer mutex.  The shared cache has a
+    small mutex of its own, held only for single lookups, inserts and
+    revalidations, never across evaluation or commit.  The contract:
+
+    - {b snapshot reads}: a query answers from one committed version;
+      one that overlaps an [UPDATE] answers from the last committed
+      version, never from a half-applied one;
+    - {b ack-then-visible}: an [UPDATE] publishes its version after its
+      persist hook returned (WAL fsync under [--store]) and before its
+      subscription pushes and its acknowledgement;
+    - {b no stale answer after an ack}: any request invoked after an
+      [UPDATE] was acknowledged sees that version or a later one
+      (checked by the concurrent history test).
+
+    The answering version is reported in telemetry (the [serve.request]
+    span's [version] attribute, the [slow_query] and [incr.update]
+    events, the [STATS] [engine] section); response frames are not
+    stamped.
 
     {2 Admission control and load shedding}
 
@@ -88,13 +107,15 @@ type store
 
 val store : ?cache_capacity:int -> db:Ssd.Graph.t -> unit -> store
 
-(** The current database-of-record (snapshot read under the lock). *)
+(** The current database-of-record: the last published snapshot's
+    graph (one atomic load, no lock). *)
 val store_db : store -> Ssd.Graph.t
 
 (** Install a durability hook: on every [UPDATE] it is called under the
-    store lock with the new graph {e before} the in-memory swap — if it
-    raises, the database-of-record and cache are untouched and the
-    client gets the error.  Used by [ssdql serve --store] to route
+    writer mutex with the new graph {e before} the snapshot is
+    published — if it raises, the database-of-record and cache are
+    untouched, no reader ever sees the new graph, and the client gets
+    the error.  Used by [ssdql serve --store] to route
     updates through {!Ssd_store.Store.commit} (WAL append + fsync), so
     an acknowledged UPDATE survives [kill -9]. *)
 val set_persist : store -> (Ssd.Graph.t -> unit) -> unit
@@ -111,7 +132,8 @@ val create : ?config:config -> store -> t
 
 val config : t -> config
 
-(** Per-engine counters, all guarded by the store lock. *)
+(** Per-engine counters (each an atomic; a snapshot of them is not
+    taken atomically as a whole). *)
 type stats = {
   requests : int; (** frames handled, any verb or outcome *)
   accepted : int; (** queries admitted and evaluated *)

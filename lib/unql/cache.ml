@@ -33,17 +33,20 @@ let compute_fingerprint g =
 
 (* Fingerprints are O(edges); repeated queries against one resident
    database are the common case, so memoize the last few graphs by
-   physical identity. *)
-let fp_memo : (Graph.t * int) list ref = ref []
+   physical identity.  Concurrent domains share the memo; a racing
+   insert may lose to another (last writer wins), which only costs a
+   recomputation later. *)
+let fp_memo : (Graph.t * int) list Atomic.t = Atomic.make []
 let fp_memo_capacity = 8
 
 let fingerprint g =
-  match List.find_opt (fun (g0, _) -> g0 == g) !fp_memo with
+  let memo = Atomic.get fp_memo in
+  match List.find_opt (fun (g0, _) -> g0 == g) memo with
   | Some (_, fp) -> fp
   | None ->
     let fp = compute_fingerprint g in
-    let keep = List.filteri (fun i _ -> i < fp_memo_capacity - 1) !fp_memo in
-    fp_memo := (g, fp) :: keep;
+    let keep = List.filteri (fun i _ -> i < fp_memo_capacity - 1) memo in
+    Atomic.set fp_memo ((g, fp) :: keep);
     fp
 
 (* ------------------------------------------------------------------ *)

@@ -218,7 +218,13 @@ let props =
         List.iter (fun (e : Delta.edge) -> count tbl (e.Delta.src, e.Delta.lab, e.Delta.dst) 1) d.Delta.added;
         List.iter (fun (e : Delta.edge) -> count tbl (e.Delta.src, e.Delta.lab, e.Delta.dst) (-1)) d.Delta.removed;
         Graph.fold_edges (fun () u l v -> count tbl (u, l, v) (-1)) () g';
-        Hashtbl.length tbl = 0);
+        (* and the diff is minimal: no edge is both added and removed *)
+        let key (e : Delta.edge) = (e.Delta.src, e.Delta.lab, e.Delta.dst) in
+        Hashtbl.length tbl = 0
+        && not
+             (List.exists
+                (fun a -> List.exists (fun r -> key r = key a) d.Delta.removed)
+                d.Delta.added));
   ]
 
 (* ------------------------------------------------------------------ *)
