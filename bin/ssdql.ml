@@ -12,6 +12,7 @@
 
 module Graph = Ssd.Graph
 module Label = Ssd.Label
+module Lang = Ssd_lint.Lang
 
 let read_file path =
   let ic = open_in_bin path in
@@ -99,21 +100,22 @@ let dump_stats fmt =
   | "json" -> print_endline (Ssd_obs.Metrics.dump_json Ssd_obs.Metrics.default)
   | _ -> print_string (Ssd_obs.Metrics.dump_text Ssd_obs.Metrics.default)
 
+(* Parse QUERY once for everything a subcommand does with it.  A syntax
+   error is reported like a lint finding: rendered on stderr, exit 1. *)
+let compile lang query_text =
+  try Lang.compile lang query_text
+  with Ssd_diag.Fail d ->
+    prerr_string (Ssd_diag.render [ d ]);
+    exit 1
+
 (* --lint[=warn|error]: run the static analyzer before evaluating.
    Findings go to stderr; in error mode an Error-severity finding stops
    the query (exit 1) before evaluation starts. *)
-let lint_gate mode lang db query_text =
+let lint_gate mode lang db c =
   if mode <> "off" then
-    match
-      match lang with
-      | "unql" -> Some Ssd_lint.Unql
-      | "lorel" -> Some Ssd_lint.Lorel
-      | "datalog" -> Some Ssd_lint.Datalog
-      | _ -> None
-    with
-    | None -> Printf.eprintf "--lint is not available for %s queries\n" lang
-    | Some llang ->
-      let r = Ssd_lint.check_src ~lang:llang ~db query_text in
+    match Lang.lint ~db c with
+    | None -> Printf.eprintf "--lint is not available for %s queries\n" (Lang.name lang)
+    | Some r ->
       if r.Ssd_lint.diags <> [] then prerr_string (Ssd_diag.render r.Ssd_lint.diags);
       if mode = "error" && Ssd_lint.errors r > 0 then begin
         Printf.eprintf "query rejected (--lint=error)\n";
@@ -127,6 +129,10 @@ let lint_gate mode lang db query_text =
 let status_of = function
   | None -> "complete"
   | Some why -> Printf.sprintf "partial (%s)" (Ssd.Budget.exhaustion_to_string why)
+
+let split = function
+  | Ssd.Budget.Complete v -> (v, None)
+  | Ssd.Budget.Partial (v, why) -> (v, Some why)
 
 (* Resolve --data/--store into a database: exactly one source.  A store
    open runs recovery if the store needs it (reported on stderr), and
@@ -155,83 +161,49 @@ let query_cmd jobs data store_path lang lint explain use_cache repeat quiet stat
   Ssd_par.Pool.set_default_jobs jobs;
   let db, close_db = open_db ~what:"ssdql query" data store_path in
   at_exit close_db;
-  lint_gate lint lang db query_text;
+  let c = compile lang query_text in
+  lint_gate lint lang db c;
   if trace || trace_out <> None then begin
     Ssd_obs.Trace.enable ();
     Ssd_obs.Trace.name_lane 0 "main"
   end;
-  let repeat = max 1 repeat in
   let budgeted = deadline_ms <> None || max_steps <> None in
-  let budget () = Ssd.Budget.create ?deadline_ms ?max_steps () in
-  let run_repeated eval =
-    let r = ref (eval ()) in
-    for _ = 2 to repeat do
-      r := eval ()
-    done;
-    !r
-  in
-  let split = function
-    | Ssd.Budget.Complete v -> (v, None)
-    | Ssd.Budget.Partial (v, why) -> (v, Some why)
-  in
-  let print_status why = if budgeted then Printf.printf "status: %s\n" (status_of why) in
-  (match lang with
-  | "unql" ->
-    let q = Unql.Parser.parse query_text in
+  let unql = match c with Lang.Unql (q, _) -> Some q | _ -> None in
+  (match unql with
+  | Some q ->
     if explain then explain_unql db q;
     if budgeted && use_cache then
-      Printf.eprintf "--cache ignores budgets; evaluating uncached\n";
-    let result, why =
-      run_repeated (fun () ->
-          if budgeted then split (Unql.Eval.eval_outcome ~budget:(budget ()) ~db q)
-          else if use_cache then (Unql.Cache.eval ~cache:Unql.Cache.shared ~db q, None)
-          else (Unql.Eval.eval ~db q, None))
-    in
-    if use_cache && not budgeted then begin
-      let s = Unql.Cache.stats Unql.Cache.shared in
-      Printf.eprintf "cache: %d hits, %d misses, %d evictions, %d entries\n"
-        s.Unql.Cache.hits s.Unql.Cache.misses s.Unql.Cache.evictions s.Unql.Cache.size
-    end;
-    print_status why;
-    if not quiet then print_graph result
-  | "lorel" ->
+      Printf.eprintf "--cache ignores budgets; evaluating uncached\n"
+  | None ->
     if explain then Printf.eprintf "--explain is only available for unql queries\n";
-    if use_cache then Printf.eprintf "--cache is only available for unql queries\n";
-    let q = Lorel.Parser.parse query_text in
-    let result, why =
-      run_repeated (fun () ->
-          if budgeted then split (Lorel.Eval.eval_outcome ~budget:(budget ()) ~db q)
-          else (Lorel.Eval.eval ~db q, None))
-    in
-    print_status why;
-    if not quiet then print_graph result
-  | "websql" ->
-    if budgeted then Printf.eprintf "--deadline-ms/--max-steps are not supported for websql\n";
-    let result = run_repeated (fun () -> Websql.Eval.run ~db query_text) in
-    if not quiet then print_endline (Relstore.Relation.to_string result)
-  | "datalog" ->
-    let program = Relstore.Datalog.parse query_text in
-    let edb = Relstore.Triple.edb db in
-    let results, why =
-      run_repeated (fun () ->
-          if budgeted then
-            split (Relstore.Datalog.eval_outcome ~budget:(budget ()) ~edb program)
-          else (Relstore.Datalog.eval ~edb program, None))
-    in
-    print_status why;
-    if not quiet then
-      List.iter
-        (fun (pred, tuples) ->
-          Printf.printf "%s: %d tuples\n" pred (List.length tuples);
-          List.iter
-            (fun t ->
-              Printf.printf "  %s(%s)\n" pred
-                (String.concat ", " (List.map Label.to_string t)))
-            tuples)
-        results
-  | other ->
-    Printf.eprintf "unknown language %s (use unql, lorel, websql or datalog)\n" other;
-    exit 2);
+    if use_cache then Printf.eprintf "--cache is only available for unql queries\n");
+  let budgeted =
+    match c with
+    | Lang.Websql _ when budgeted ->
+      Printf.eprintf "--deadline-ms/--max-steps are not supported for websql\n";
+      false
+    | _ -> budgeted
+  in
+  let cached = use_cache && (not budgeted) && Option.is_some unql in
+  let eval () =
+    match unql with
+    | Some q when cached ->
+      Ssd.Budget.Complete (Lang.Graph (Unql.Cache.eval ~cache:Unql.Cache.shared ~db q))
+    | _ ->
+      let budget = Ssd.Budget.create ?deadline_ms ?max_steps in
+      Lang.eval ?budget:(if budgeted then Some (budget ()) else None) ~db c
+  in
+  for _ = 2 to repeat do
+    ignore (eval ())
+  done;
+  let result, why = split (eval ()) in
+  if cached then begin
+    let s = Unql.Cache.stats Unql.Cache.shared in
+    Printf.eprintf "cache: %d hits, %d misses, %d evictions, %d entries\n"
+      s.Unql.Cache.hits s.Unql.Cache.misses s.Unql.Cache.evictions s.Unql.Cache.size
+  end;
+  if budgeted then Printf.printf "status: %s\n" (status_of why);
+  if not quiet then print_string (Lang.render result);
   if trace then prerr_string (Ssd_obs.Trace.render ());
   Option.iter
     (fun path ->
@@ -259,37 +231,37 @@ let check_cmd data lang schema_path format list_codes stats cost query_text =
       Printf.eprintf "missing QUERY (or use --codes)\n";
       exit 2
   in
-  let lang =
-    match lang with
-    | "unql" -> Ssd_lint.Unql
-    | "lorel" -> Ssd_lint.Lorel
-    | "datalog" -> Ssd_lint.Datalog
-    | other ->
-      Printf.eprintf "check supports unql, lorel and datalog queries (got %s)\n" other;
-      exit 2
-  in
   let db = Option.map load_data data in
   let target =
     Option.map
       (fun p -> Ssd_lint.Schema (Ssd_schema.Gschema.parse (read_file p)))
       schema_path
   in
-  let r = Ssd_lint.check_src ~lang ?db ?target query_text in
-  let card =
-    if not cost then None
-    else
-      match db with
+  let r, card =
+    match Lang.compile lang query_text with
+    | exception Ssd_diag.Fail d -> (Lang.report_of [ d ], None)
+    | c -> (
+      match Lang.lint ?db ?target c with
       | None ->
-        Printf.eprintf "--cost needs --data (statistics come from the database)\n";
+        Printf.eprintf "check supports unql, lorel and datalog queries (got %s)\n"
+          (Lang.name lang);
         exit 2
-      | Some db ->
-        let annotated = Ssd_schema.Annotated.build db in
-        let declared =
-          match (target, lang) with
-          | Some (Ssd_lint.Schema s), Ssd_lint.Unql -> Some s
-          | _ -> None
+      | Some r ->
+        let card =
+          if not cost then None
+          else
+            match db with
+            | None ->
+              Printf.eprintf "--cost needs --data (statistics come from the database)\n";
+              exit 2
+            | Some db ->
+              let declared =
+                match target with Some (Ssd_lint.Schema s) -> Some s | _ -> None
+              in
+              Lang.estimate ?declared (Ssd_schema.Annotated.build db) c
+              |> Option.map (fun e -> e.Lang.card)
         in
-        Some (Ssd_lint.check_cost ~lang ~annotated ?declared query_text)
+        ({ r with Ssd_lint.fingerprint = Lang.fingerprint c }, card))
   in
   let all_diags =
     r.Ssd_lint.diags
@@ -332,36 +304,16 @@ let est_over_histogram = Ssd_obs.Metrics.histogram "lint.card.est_over"
 let explain_cmd data lang format query_text =
   let db = load_data data in
   let annotated = Ssd_schema.Annotated.build db in
-  let n_rows g = List.length (Graph.labeled_succ g (Graph.root g)) in
-  let card, planned_text, actual =
-    match lang with
-    | "unql" ->
-      let q = Unql.Parser.parse query_text in
-      let card = Ssd_lint.Card.check_unql annotated q in
-      let planned = Unql.Optimize.reorder_generators annotated q in
-      let actual = n_rows (Unql.Eval.eval ~db q) in
-      (card, Some (Unql.Pretty.expr_to_string planned), actual)
-    | "lorel" ->
-      let q = Lorel.Parser.parse query_text in
-      let card = Ssd_lint.Card.check_lorel annotated q in
-      let actual = n_rows (Lorel.Eval.eval ~db q) in
-      (card, None, actual)
-    | "datalog" ->
-      let program = Relstore.Datalog.parse query_text in
-      let card = Ssd_lint.Card.check_datalog annotated program in
-      let edb = Relstore.Triple.edb db in
-      let actual =
-        List.fold_left
-          (fun a (_, ts) -> a + List.length ts)
-          0
-          (Relstore.Datalog.eval ~edb program)
-      in
-      (card, None, actual)
-    | other ->
+  let c = compile lang query_text in
+  let { Lang.card; plan = planned_text } =
+    match Lang.estimate annotated c with
+    | Some e -> e
+    | None ->
       Printf.eprintf "explain supports unql, lorel and datalog queries (got %s)\n"
-        other;
+        (Lang.name lang);
       exit 2
   in
+  let actual = Lang.rows (Ssd.Budget.value (Lang.eval ~db c)) in
   let ratio =
     Option.map
       (fun e -> e /. float_of_int (max 1 actual))
@@ -399,7 +351,10 @@ let explain_cmd data lang format query_text =
     print_endline
       (Ssd.Json.to_string
          (Ssd.Json.Obj
-            ([ ("lang", Ssd.Json.String lang); ("query", Ssd.Json.String query_text) ]
+            ([
+               ("lang", Ssd.Json.String (Lang.name lang));
+               ("query", Ssd.Json.String query_text);
+             ]
             @ (match planned_text with
               | Some p -> [ ("planned", Ssd.Json.String p) ]
               | None -> [])
@@ -418,7 +373,7 @@ let explain_cmd data lang format query_text =
                   Ssd.Json.List (List.map diag_json card.Ssd_lint.Card.diags) );
               ])))
   | _ ->
-    Printf.printf "== explain (%s) ==\n" lang;
+    Printf.printf "== explain (%s) ==\n" (Lang.name lang);
     Printf.printf "query:\n  %s\n" query_text;
     Option.iter (Printf.printf "planned:\n  %s\n") planned_text;
     if card.Ssd_lint.Card.ops <> [] then begin
@@ -636,27 +591,11 @@ let dist_cmd jobs data sites partition_kind seed faults deadline_ms max_steps fo
 let profile_cmd jobs data lang repeat format trace_out query_text =
   Ssd_par.Pool.set_default_jobs jobs;
   let db = load_data data in
+  let c = compile lang query_text in
   Ssd_obs.Trace.enable ();
   Ssd_obs.Trace.name_lane 0 "main";
-  let eval =
-    match lang with
-    | "unql" ->
-      let q = Unql.Parser.parse query_text in
-      fun () -> ignore (Unql.Eval.eval ~db q)
-    | "lorel" ->
-      let q = Lorel.Parser.parse query_text in
-      fun () -> ignore (Lorel.Eval.eval ~db q)
-    | "websql" -> fun () -> ignore (Websql.Eval.run ~db query_text)
-    | "datalog" ->
-      let program = Relstore.Datalog.parse query_text in
-      let edb = Relstore.Triple.edb db in
-      fun () -> ignore (Relstore.Datalog.eval ~edb program)
-    | other ->
-      Printf.eprintf "unknown language %s (use unql, lorel, websql or datalog)\n" other;
-      exit 2
-  in
   for _ = 1 to max 1 repeat do
-    eval ()
+    ignore (Lang.eval ~db c)
   done;
   let roots = Ssd_obs.Trace.spans () in
   let rows = Ssd_obs.Profile.of_spans roots in
@@ -889,7 +828,7 @@ let subscribe_cmd socket_path tcp_port host lang count q =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.connect fd sockaddr;
-      let opts = { Proto.default_options with Proto.lang } in
+      let opts = { Proto.default_options with Proto.lang = Lang.name lang } in
       let req =
         Proto.render_request { Proto.verb = Proto.Subscribe; opts; body = q } ^ "\n"
       in
@@ -1232,16 +1171,19 @@ let jobs_arg =
                stats and cache fingerprints are identical for every N; only \
                wall-clock time changes.")
 
+(* One --lang for every subcommand, from Lang's name table; commands
+   with no use for a language refuse it at run time. *)
+let lang_arg =
+  Arg.(value & opt (enum Lang.names) Lang.Unql & info [ "l"; "lang" ] ~docv:"LANG"
+         ~doc:("Query language: " ^ doc_alts_enum Lang.names ^ ". check and explain \
+                take all but websql; subscribe takes unql or datalog."))
+
 let trace_out_arg =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
          ~doc:"Write the execution trace as Chrome trace-event JSON, loadable \
                in chrome://tracing or Perfetto.")
 
 let query_t =
-  let lang =
-    Arg.(value & opt string "unql" & info [ "l"; "lang" ] ~docv:"LANG"
-           ~doc:"Query language: unql, lorel, websql or datalog.")
-  in
   let explain =
     Arg.(value & flag & info [ "explain" ]
            ~doc:"Print the normalized query, regex automaton sizes and \
@@ -1280,7 +1222,7 @@ let query_t =
   in
   let q = Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY") in
   Cmd.v (Cmd.info "query" ~doc:"Run a query against a data file or persistent store")
-    Term.(const query_cmd $ jobs_arg $ data_opt_arg $ store_arg $ lang $ lint $ explain
+    Term.(const query_cmd $ jobs_arg $ data_opt_arg $ store_arg $ lang_arg $ lint $ explain
           $ cache $ repeat $ quiet
           $ stats $ stats_format $ trace $ trace_out_arg $ deadline_ms_arg
           $ max_steps_arg $ q)
@@ -1290,10 +1232,6 @@ let check_t =
     Arg.(value & opt (some string) None & info [ "d"; "data" ] ~docv:"FILE"
            ~doc:"Data file or builtin:KIND[:N]; when given, path expressions are \
                  checked for satisfiability against its DataGuide.")
-  in
-  let lang =
-    Arg.(value & opt string "unql" & info [ "l"; "lang" ] ~docv:"LANG"
-           ~doc:"Query language: unql, lorel or datalog.")
   in
   let schema =
     Arg.(value & opt (some file) None & info [ "s"; "schema" ] ~docv:"FILE"
@@ -1324,13 +1262,9 @@ let check_t =
   Cmd.v
     (Cmd.info "check"
        ~doc:"Statically analyze a query without running it (exit 1 on errors)")
-    Term.(const check_cmd $ data $ lang $ schema $ format $ codes $ stats $ cost $ q)
+    Term.(const check_cmd $ data $ lang_arg $ schema $ format $ codes $ stats $ cost $ q)
 
 let explain_t =
-  let lang =
-    Arg.(value & opt string "unql" & info [ "l"; "lang" ] ~docv:"LANG"
-           ~doc:"Query language: unql, lorel or datalog.")
-  in
   let format =
     Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT"
            ~doc:"Output format: text or json.")
@@ -1341,7 +1275,7 @@ let explain_t =
        ~doc:"Show the planner's view of a query: per-operator cardinality \
              estimates and access paths from the annotated DataGuide, \
              next to the actual cardinality from one evaluation")
-    Term.(const explain_cmd $ data_arg $ lang $ format $ q)
+    Term.(const explain_cmd $ data_arg $ lang_arg $ format $ q)
 
 let convert_t =
   let target =
@@ -1385,10 +1319,6 @@ let gen_t =
     Term.(const gen_cmd $ kind $ n $ seed)
 
 let profile_t =
-  let lang =
-    Arg.(value & opt string "unql" & info [ "l"; "lang" ] ~docv:"LANG"
-           ~doc:"Query language: unql, lorel, websql or datalog.")
-  in
   let repeat =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
            ~doc:"Evaluate the query N times; the table aggregates all runs.")
@@ -1402,7 +1332,7 @@ let profile_t =
     (Cmd.info "profile"
        ~doc:"Evaluate a query with tracing on and print per-operator \
              inclusive/exclusive time (a sorted flame table)")
-    Term.(const profile_cmd $ jobs_arg $ data_arg $ lang $ repeat $ format $ trace_out_arg $ q)
+    Term.(const profile_cmd $ jobs_arg $ data_arg $ lang_arg $ repeat $ format $ trace_out_arg $ q)
 
 let dist_t =
   let sites =
@@ -1544,10 +1474,6 @@ let subscribe_t =
     Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST"
            ~doc:"Host for --port.")
   in
-  let lang =
-    Arg.(value & opt string "unql" & info [ "l"; "lang" ] ~docv:"LANG"
-           ~doc:"Subscription language: unql or datalog.")
-  in
   let count =
     Arg.(value & opt int 0 & info [ "count"; "n" ] ~docv:"N"
            ~doc:"Exit after N pushed delta frames (default 0: stream until \
@@ -1558,7 +1484,7 @@ let subscribe_t =
     (Cmd.info "subscribe"
        ~doc:"Register a live query on a running ssdql serve and stream the \
              delta frames pushed when committed updates change its result")
-    Term.(const subscribe_cmd $ socket $ port $ host $ lang $ count $ q)
+    Term.(const subscribe_cmd $ socket $ port $ host $ lang_arg $ count $ q)
 
 let top_t =
   let addr =

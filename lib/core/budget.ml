@@ -92,4 +92,10 @@ let wrap t v =
   | None -> Complete v
   | Some why -> Partial (v, why)
 
+let value = function Complete v | Partial (v, _) -> v
+
+let map f = function
+  | Complete v -> Complete (f v)
+  | Partial (v, why) -> Partial (f v, why)
+
 let steps_used t = min (Atomic.get t.steps) t.max_steps

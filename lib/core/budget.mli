@@ -75,5 +75,11 @@ val exempt : t -> (unit -> 'a) -> 'a
     exhausted, [Partial] otherwise. *)
 val wrap : t -> 'a -> 'a outcome
 
+(** The answer, complete or partial. *)
+val value : 'a outcome -> 'a
+
+(** The answer mapped, the verdict kept. *)
+val map : ('a -> 'b) -> 'a outcome -> 'b outcome
+
 (** Steps consumed so far. *)
 val steps_used : t -> int

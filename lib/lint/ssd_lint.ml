@@ -2,24 +2,20 @@ module Diag = Ssd_diag
 module Unql_lint = Lint_unql
 module Lorel_lint = Lint_lorel
 module Datalog_lint = Lint_datalog
-module Metrics = Ssd_obs.Metrics
+
+module Lang = Lang
 
 type target = Lint_unql.target =
   | Guide of Ssd_schema.Dataguide.t
   | Schema of Ssd_schema.Gschema.t
 
-type lang =
+type lang = Lang.t =
   | Unql
   | Lorel
   | Datalog
+  | Websql
 
-let lang_name = function
-  | Unql -> "unql"
-  | Lorel -> "lorel"
-  | Datalog -> "datalog"
-
-type report = {
-  lang : lang;
+type report = Lang.report = {
   diags : Diag.t list;
   paths_checked : int;
   dead_paths : int;
@@ -30,112 +26,15 @@ type report = {
 let errors r = Diag.count Diag.Error r.diags
 let warnings r = Diag.count Diag.Warning r.diags
 
-let m_checks = Metrics.counter "lint.checks"
-let m_dead = Metrics.counter "lint.dead_paths"
-let m_errors = Metrics.counter "lint.errors"
-let m_warnings = Metrics.counter "lint.warnings"
-
-let count r =
-  Metrics.incr m_checks;
-  Metrics.add m_dead r.dead_paths;
-  Metrics.add m_errors (errors r);
-  Metrics.add m_warnings (warnings r);
-  r
-
-let syntax_code = function
-  | Unql -> "SSD001"
-  | Lorel -> "SSD002"
-  | Datalog -> "SSD003"
-
-let parse_failure lang msg =
-  count
-    {
-      lang;
-      diags = [ Diag.make Diag.Error ~code:(syntax_code lang) msg ];
-      paths_checked = 0;
-      dead_paths = 0;
-      reachable_labels = [];
-      fingerprint = None;
-    }
-
-let resolve_target ?db ?target () =
-  match target, db with
-  | Some t, _ -> Some t
-  | None, Some g -> Some (Guide (Ssd_schema.Dataguide.build g))
-  | None, None -> None
-
-let check_src ~lang ?db ?target ?(defined = []) src =
-  match lang with
-  | Unql -> (
-    match Unql.Parser.parse_with_marks src with
-    | exception Unql.Parser.Parse_error msg -> parse_failure lang msg
-    | q, marks ->
-      let target = resolve_target ?db ?target () in
-      let r = Lint_unql.check ?db ?target ~marks ~defined q in
-      count
-        {
-          lang;
-          diags = r.Lint_unql.diags;
-          paths_checked = r.Lint_unql.paths_checked;
-          dead_paths = r.Lint_unql.dead_paths;
-          reachable_labels = r.Lint_unql.reachable_labels;
-          fingerprint = Some (Unql.Cache.query_fingerprint q);
-        })
-  | Lorel -> (
-    match Lorel.Parser.parse_with_marks src with
-    | exception Lorel.Parser.Parse_error msg -> parse_failure lang msg
-    | q, marks ->
-      let target = resolve_target ?db ?target () in
-      let r = Lint_lorel.check ?target ~marks q in
-      count
-        {
-          lang;
-          diags = r.Lint_lorel.diags;
-          paths_checked = r.Lint_lorel.paths_checked;
-          dead_paths = r.Lint_lorel.dead_paths;
-          reachable_labels = [];
-          fingerprint = None;
-        })
-  | Datalog -> (
-    match Relstore.Datalog.parse src with
-    | exception Relstore.Datalog.Parse_error msg -> parse_failure lang msg
-    | program ->
-      let r = Lint_datalog.check program in
-      count
-        {
-          lang;
-          diags = r.Lint_datalog.diags;
-          paths_checked = 0;
-          dead_paths = 0;
-          reachable_labels = [];
-          fingerprint = None;
-        })
+let check_src ~lang ?db ?target ?defined src =
+  match Lang.compile lang src with
+  | exception Diag.Fail d -> Lang.report_of [ d ]
+  | c -> (
+    match Lang.lint ?db ?target ?defined c with
+    | Some r -> { r with fingerprint = Lang.fingerprint c }
+    | None -> Lang.report_of [])
 
 module Card = Lint_card
-
-let check_cost ~lang ~annotated ?declared src =
-  let fail code msg =
-    {
-      Lint_card.diags = [ Diag.make Diag.Error ~code msg ];
-      ops = [];
-      est_total = None;
-      cost_syntax = 0.0;
-      cost_planned = 0.0;
-    }
-  in
-  match lang with
-  | Unql -> (
-    match Unql.Parser.parse src with
-    | exception Unql.Parser.Parse_error msg -> fail (syntax_code lang) msg
-    | q -> Lint_card.check_unql annotated ?declared q)
-  | Lorel -> (
-    match Lorel.Parser.parse src with
-    | exception Lorel.Parser.Parse_error msg -> fail (syntax_code lang) msg
-    | q -> Lint_card.check_lorel annotated q)
-  | Datalog -> (
-    match Relstore.Datalog.parse src with
-    | exception Relstore.Datalog.Parse_error msg -> fail (syntax_code lang) msg
-    | program -> Lint_card.check_datalog annotated program)
 
 let check_uncal u =
   let ins = Unql.Uncal.inputs u and outs = Unql.Uncal.outputs u in

@@ -25,42 +25,37 @@ module Unql_lint = Lint_unql
 module Lorel_lint = Lint_lorel
 module Datalog_lint = Lint_datalog
 
+(** The language front end every consumer compiles through. *)
+module Lang = Lang
+
 (** What path expressions are checked against. *)
 type target = Lint_unql.target =
   | Guide of Ssd_schema.Dataguide.t
   | Schema of Ssd_schema.Gschema.t
 
-type lang =
+type lang = Lang.t =
   | Unql
   | Lorel
   | Datalog
+  | Websql
 
-val lang_name : lang -> string
-
-type report = {
-  lang : lang;
+type report = Lang.report = {
   diags : Diag.t list;
-  paths_checked : int; (** generators / path expressions traced *)
-  dead_paths : int; (** of which provably unsatisfiable *)
+  paths_checked : int;
+  dead_paths : int;
   reachable_labels : Ssd.Label.t list;
-      (** labels the live products can cross — the statically reachable
-          label set {!Unql.Optimize}-style pruning may keep *)
   fingerprint : int option;
-      (** {!Unql.Cache.query_fingerprint} of the parsed query (UnQL only),
-          so a following cache lookup reuses the lint pass's parse *)
 }
 
 val errors : report -> int
 val warnings : report -> int
 
-(** [check_src ~lang ?db ?target ?defined src] parses and analyzes [src].
-    Parse errors become a single SSD001/SSD002/SSD003 diagnostic rather
-    than an exception.  When [target] is absent but [db] is given, a
-    DataGuide is built from [db] ([Datalog] needs neither; its extensional
-    predicates default to the triple encoding).  [defined] pre-binds tree
-    variables — pass {!Unql.Views.names} to lint a query meant to run
-    under a view registry.  Updates the [lint.*] counters in
-    {!Ssd_obs.Metrics.default}. *)
+(** [check_src ~lang ?db ?target ?defined src] — {!Lang.compile} then
+    {!Lang.lint} (see there), with the report's [fingerprint] filled in.
+    A syntax error becomes the report's single SSD001/002/003 diagnostic
+    instead of an exception; [Websql] yields an empty report.  Pass
+    {!Unql.Views.names} as [defined] to lint a query meant to run under
+    a view registry. *)
 val check_src :
   lang:lang ->
   ?db:Ssd.Graph.t ->
@@ -72,19 +67,6 @@ val check_src :
 (** The cardinality / cost analyzer ({!Lint_card}), exposed for direct
     AST-level use. *)
 module Card = Lint_card
-
-(** [check_cost ~lang ~annotated ?declared src] parses [src] and runs the
-    cardinality/cost analysis of {!Lint_card} over the annotated
-    DataGuide — the engine behind [ssdql check --cost] and
-    [ssdql explain].  Parse errors become a single SSD001/002/003
-    diagnostic in the result.  [declared] (UnQL only) additionally
-    checks the inferred result schema for subsumption (SSD254). *)
-val check_cost :
-  lang:lang ->
-  annotated:Ssd_schema.Annotated.t ->
-  ?declared:Ssd_schema.Gschema.t ->
-  string ->
-  Lint_card.t
 
 (** Marker discipline of an UnCAL value: SSD311 for an output marker with
     no matching input, SSD312 for a non-[&] input never used as an

@@ -7,6 +7,7 @@ module Budget = Ssd.Budget
 module Metrics = Ssd_obs.Metrics
 module Trace = Ssd_obs.Trace
 module Events = Ssd_obs.Events
+module Lang = Ssd_lint.Lang
 
 let m_requests = Metrics.counter "serve.requests"
 let m_accepted = Metrics.counter "serve.accepted"
@@ -79,7 +80,6 @@ type sub = {
   sub_id : int;
   sub_conn : int option; (* owning transport connection, for teardown *)
   sub_opts : Proto.options;
-  sub_qtext : string;
   sub_fp : Unql.Footprint.t;
   sub_kind : sub_kind;
   sub_push : string -> unit; (* a rendered frame, written by the transport *)
@@ -205,26 +205,8 @@ let stats t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rendering (matches the ssdql CLI byte-for-byte in text format)      *)
+(* Rendering (result text is Lang.render, shared with the ssdql CLI)   *)
 (* ------------------------------------------------------------------ *)
-
-let render_graph_text g = Graph.to_string g ^ "\n"
-
-let render_relation_text r = Relstore.Relation.to_string r ^ "\n"
-
-let render_datalog_text results =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (pred, tuples) ->
-      Buffer.add_string buf (Printf.sprintf "%s: %d tuples\n" pred (List.length tuples));
-      List.iter
-        (fun tuple ->
-          Buffer.add_string buf
-            (Printf.sprintf "  %s(%s)\n" pred
-               (String.concat ", " (List.map Label.to_string tuple))))
-        tuples)
-    results;
-  Buffer.contents buf
 
 (* format=json wraps the text rendering in a JSON envelope (the text
    renderers are total on cyclic results, where a tree conversion would
@@ -293,92 +275,47 @@ let effective_budget cfg (opts : Proto.options) ~pressured =
   | None, None -> None
   | deadline_ms, _ -> Some (Budget.create ?deadline_ms ?max_steps ())
 
-let map_outcome f = function
-  | Budget.Complete v -> Budget.Complete (f v)
-  | Budget.Partial (v, why) -> Budget.Partial (f v, why)
+(* Compile the request body once and lint it.  A query the static
+   analyzer rejects gets an error frame whose detail token is the
+   concrete diagnostic code (and whose body carries the span) — SSD001/
+   002/003 for syntax, the SSDxxx hygiene/safety codes otherwise —
+   instead of the generic SSD553 the escaping runtime exception would
+   produce.  The check runs without the database (no DataGuide build on
+   the request path), so it is cheap and purely syntactic/hygienic; zero
+   Error-severity findings means the evaluators do not raise on this
+   query (see Ssd_lint). *)
+let compile lang body =
+  let c = Lang.compile lang body in
+  Option.iter
+    (fun (r : Lang.report) ->
+      match List.find_opt (fun d -> d.Ssd_diag.severity = Ssd_diag.Error) r.diags with
+      | Some d -> raise (Ssd_diag.Fail d)
+      | None -> ())
+    (Lang.lint c);
+  c
 
-(* Lint before evaluating: a query the static analyzer rejects gets an
-   error frame whose detail token is the concrete diagnostic code (and
-   whose body carries the span) — SSD001/002/003 for syntax, the SSDxxx
-   hygiene/safety codes otherwise — instead of the generic SSD553 the
-   escaping runtime exception would produce.  The check runs without the
-   database (no DataGuide build on the request path), so it is cheap and
-   purely syntactic/hygienic; zero Error-severity findings means the
-   evaluators do not raise on this query (see Ssd_lint). *)
-let lint_gate (opts : Proto.options) body =
-  let lang =
-    match opts.lang with
-    | "unql" -> Some Ssd_lint.Unql
-    | "lorel" -> Some Ssd_lint.Lorel
-    | "datalog" -> Some Ssd_lint.Datalog
-    | _ -> None
-  in
-  match lang with
-  | None -> ()
-  | Some lang -> (
-    let r = Ssd_lint.check_src ~lang body in
-    match
-      List.find_opt
-        (fun d -> d.Ssd_diag.severity = Ssd_diag.Error)
-        r.Ssd_lint.diags
-    with
-    | Some d -> raise (Ssd_diag.Fail d)
-    | None -> ())
+(* UnQL through the shared result cache: the hit, or a fresh evaluation
+   that fills it.  The cache is locked per call, never across [eval]. *)
+let cached_eval st ~db q =
+  match with_cache st (fun c -> Unql.Cache.find c ~db q) with
+  | Some g -> (g, true)
+  | None ->
+    let g = Unql.Eval.eval ~db q in
+    with_cache st (fun c -> Unql.Cache.add c ~db q g);
+    (g, false)
 
-(* Root fanout of the result — the "actual cardinality" the slow-query
-   event reports against the static estimate (same convention as
-   [ssdql explain]). *)
-let n_rows g = List.length (Graph.labeled_succ g (Graph.root g))
-
-let eval_query ?(rows = ref None) t ~db ~budget (opts : Proto.options) body =
-  lint_gate opts body;
-  let render_rows g =
-    rows := Some (n_rows g);
-    render_graph_text g
-  in
-  match opts.lang with
-  | "unql" -> (
-    let q = Unql.Parser.parse body in
-    match budget with
-    | Some b -> map_outcome render_rows (Unql.Eval.eval_outcome ~budget:b ~db q)
-    | None ->
-      if opts.cache then begin
-        match with_cache t.st (fun c -> Unql.Cache.find c ~db q) with
-        | Some g ->
-          Metrics.incr m_cache_hits;
-          Trace.bump "cache_hit" 1;
-          Budget.Complete (render_rows g)
-        | None ->
-          let g = Unql.Eval.eval ~db q in
-          with_cache t.st (fun c -> Unql.Cache.add c ~db q g);
-          Budget.Complete (render_rows g)
-      end
-      else Budget.Complete (render_rows (Unql.Eval.eval ~db q)))
-  | "lorel" -> (
-    let q = Lorel.Parser.parse body in
-    match budget with
-    | Some b -> map_outcome render_rows (Lorel.Eval.eval_outcome ~budget:b ~db q)
-    | None -> Budget.Complete (render_rows (Lorel.Eval.eval ~db q)))
-  | "datalog" -> (
-    let program = Relstore.Datalog.parse body in
-    let edb = Relstore.Triple.edb db in
-    let render_tuples results =
-      rows :=
-        Some (List.fold_left (fun a (_, ts) -> a + List.length ts) 0 results);
-      render_datalog_text results
-    in
-    match budget with
-    | Some b ->
-      map_outcome render_tuples (Relstore.Datalog.eval_outcome ~budget:b ~edb program)
-    | None -> Budget.Complete (render_tuples (Relstore.Datalog.eval ~edb program)))
-  | "websql" ->
-    (* websql has no budget hooks; budgets are ignored, like the CLI. *)
-    Budget.Complete (render_relation_text (Websql.Eval.run ~db body))
-  | other ->
-    raise
-      (Ssd_diag.Fail
-         (Ssd_diag.make Ssd_diag.Error ~code:"SSD555"
-            (Printf.sprintf "unsupported query language %S" other)))
+(* UnQL without a budget goes through the shared result cache; every
+   other query evaluates directly. *)
+let eval_query t ~db ~budget (opts : Proto.options) c =
+  match (c, budget) with
+  | Lang.Unql (q, _), None when opts.cache ->
+    let g, hit = cached_eval t.st ~db q in
+    if hit then begin
+      Metrics.incr m_cache_hits;
+      Trace.bump "cache_hit" 1
+    end;
+    Budget.Complete (Lang.Graph g)
+  | _ -> Lang.eval ?budget ~db c
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query telemetry                                                *)
@@ -393,39 +330,24 @@ let annotated_for t db =
     Atomic.set t.st.ann_cache (Some (fp, ann));
     ann
 
-(* Static estimate + planned form for the slow-query event.  Runs only
-   for queries already past the slowness threshold, so re-parsing is
-   noise; any failure degrades to "no estimate", never to a failed
-   response. *)
-let estimate t ~db (opts : Proto.options) body =
+(* Static estimate + planned form for the slow-query event, from the
+   request's compiled query.  Runs only for queries already past the
+   slowness threshold; any failure degrades to "no estimate", never to
+   a failed response. *)
+let estimate t ~db c =
   try
-    match opts.lang with
-    | "unql" ->
-      let ann = annotated_for t db in
-      let q = Unql.Parser.parse body in
-      let card = Ssd_lint.Card.check_unql ann q in
-      let plan =
-        Unql.Pretty.expr_to_string (Unql.Optimize.reorder_generators ann q)
-      in
-      (card.Ssd_lint.Card.est_total, Some plan)
-    | "lorel" ->
-      let ann = annotated_for t db in
-      let q = Lorel.Parser.parse body in
-      ((Ssd_lint.Card.check_lorel ann q).Ssd_lint.Card.est_total, None)
-    | "datalog" ->
-      let ann = annotated_for t db in
-      let program = Relstore.Datalog.parse body in
-      ((Ssd_lint.Card.check_datalog ann program).Ssd_lint.Card.est_total, None)
-    | _ -> (None, None)
+    match Lang.estimate (annotated_for t db) c with
+    | Some e -> (e.Lang.card.Ssd_lint.Card.est_total, e.Lang.plan)
+    | None -> (None, None)
   with _ -> (None, None)
 
 let truncate_query q =
   if String.length q <= 200 then q else String.sub q 0 200 ^ "..."
 
-let slow_query_event t ~snap ~dt_ns ~steps ~rows (opts : Proto.options) body
+let slow_query_event t ~snap ~dt_ns ~steps ~rows (opts : Proto.options) body c
     (resp : Proto.response) =
   Metrics.incr m_slow;
-  let est, plan = estimate t ~db:snap.db opts body in
+  let est, plan = estimate t ~db:snap.db c in
   let module J = Ssd.Json in
   let opt_field name = function Some v -> [ (name, v) ] | None -> [] in
   Events.emit Events.default "slow_query"
@@ -443,7 +365,7 @@ let slow_query_event t ~snap ~dt_ns ~steps ~rows (opts : Proto.options) body
          ;
          opt_field "steps" (Option.map (fun s -> J.Int s) steps);
          opt_field "est_rows" (Option.map (fun e -> J.Float e) est);
-         opt_field "actual_rows" (Option.map (fun r -> J.Int r) rows);
+         [ ("actual_rows", J.Int rows) ];
          opt_field "plan" (Option.map (fun p -> J.String p) plan);
          opt_field "id"
            (Option.map (fun i -> J.String i) opts.Proto.req_id);
@@ -481,10 +403,13 @@ let do_query t ~queued (opts : Proto.options) body =
         let snap = Atomic.get t.st.snap in
         Trace.annotate "version" (Trace.Int snap.version);
         let budget = effective_budget t.cfg opts ~pressured in
-        let rows = ref None in
         let t0 = Ssd_obs.Clock.now_ns () in
-        match eval_query ~rows t ~db:snap.db ~budget opts body with
-        | outcome ->
+        match
+          let c = compile (Lang.of_string opts.lang) body in
+          let result = eval_query t ~db:snap.db ~budget opts c in
+          (c, result, Budget.map Lang.render result)
+        with
+        | c, result, outcome ->
           let dt_ns = Ssd_obs.Clock.now_ns () -. t0 in
           let steps = Option.map Budget.steps_used budget in
           (match steps with Some s -> Metrics.add tc.tc_steps s | None -> ());
@@ -498,12 +423,11 @@ let do_query t ~queued (opts : Proto.options) body =
           | Budget.Complete _ -> ());
           let resp = result_response opts outcome in
           if dt_ns >= t.cfg.slow_query_ms *. 1e6 then
-            slow_query_event t ~snap ~dt_ns ~steps ~rows:!rows opts body resp;
+            slow_query_event t ~snap ~dt_ns ~steps
+              ~rows:(Lang.rows (Budget.value result))
+              opts body c resp;
           resp
-        | exception e ->
-          Atomic.incr t.n_errors;
-          Metrics.incr m_errors;
-          error_response opts (diag_of_exn e))
+        | exception e -> error_response opts (diag_of_exn e))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -515,10 +439,11 @@ let do_query t ~queued (opts : Proto.options) body =
    order than a scratch evaluation, and canonical frames let clients
    (and the differential tests) byte-compare them. *)
 let render_datalog_sorted results =
-  render_datalog_text
-    (results
-    |> List.map (fun (p, ts) -> (p, List.sort_uniq compare ts))
-    |> List.sort compare)
+  Lang.render
+    (Lang.Tuples
+       (results
+       |> List.map (fun (p, ts) -> (p, List.sort_uniq compare ts))
+       |> List.sort compare))
 
 let footprint_of st qtext =
   match Hashtbl.find_opt st.fp_memo qtext with
@@ -550,13 +475,7 @@ let drop_conn t conn_id =
    datalog reads its retained model. *)
 let sub_eval_text st db kind =
   match kind with
-  | Sub_unql q -> (
-    match with_cache st (fun c -> Unql.Cache.find c ~db q) with
-    | Some g -> render_graph_text g
-    | None ->
-      let g = Unql.Eval.eval ~db q in
-      with_cache st (fun c -> Unql.Cache.add c ~db q g);
-      render_graph_text g)
+  | Sub_unql q -> Lang.render (Lang.Graph (fst (cached_eval st ~db q)))
   | Sub_datalog d ->
     render_datalog_sorted (Relstore.Datalog.Incremental.result d.dstate)
 
@@ -641,36 +560,37 @@ let notify_subs st ~db' ~(d : Ssd_incr.Delta.t) ~delta_labels =
 let do_subscribe t ~push ~conn_id (opts : Proto.options) body =
   match push with
   | None ->
-    Atomic.incr t.n_errors;
-    Metrics.incr m_errors;
     error_response opts
       (Ssd_diag.make Ssd_diag.Error ~code:"SSD557"
          "SUBSCRIBE needs a push-capable transport (a live connection)")
   | Some push -> (
+    (* Lint findings win over the language check: a malformed Lorel
+       subscription reports its SSD002, a well-formed one SSD555. *)
+    let unsupported () =
+      Ssd_diag.error ~code:"SSD555" "unsupported subscription language %S (unql|datalog)"
+        opts.Proto.lang
+    in
     match
-      lint_gate opts body;
+      let c =
+        compile
+          (try Lang.of_string opts.Proto.lang with Ssd_diag.Fail _ -> unsupported ())
+          body
+      in
       locked t.st (fun () ->
           let db = (Atomic.get t.st.snap).db in
           let kind, text =
-            match opts.Proto.lang with
-            | "unql" ->
-              let q = Unql.Parser.parse body in
+            match c with
+            | Lang.Unql (q, _) ->
               let kind = Sub_unql q in
               (kind, sub_eval_text t.st db kind)
-            | "datalog" ->
-              let dprog = Relstore.Datalog.parse body in
+            | Lang.Datalog dprog ->
               let dstate =
                 Relstore.Datalog.Incremental.prepare
                   ~edb:(Relstore.Triple.edb db) dprog
               in
               ( Sub_datalog { dprog; dstate },
                 render_datalog_sorted (Relstore.Datalog.Incremental.result dstate) )
-            | other ->
-              raise
-                (Ssd_diag.Fail
-                   (Ssd_diag.make Ssd_diag.Error ~code:"SSD555"
-                      (Printf.sprintf
-                         "unsupported subscription language %S (unql|datalog)" other)))
+            | Lang.Lorel _ | Lang.Websql _ -> unsupported ()
           in
           let id = Atomic.fetch_and_add t.st.next_sub 1 + 1 in
           let s =
@@ -678,8 +598,7 @@ let do_subscribe t ~push ~conn_id (opts : Proto.options) body =
               sub_id = id;
               sub_conn = conn_id;
               sub_opts = opts;
-              sub_qtext = body;
-              sub_fp = footprint_of t.st body;
+              sub_fp = Lang.footprint c;
               sub_kind = kind;
               sub_push = push;
               sub_seq = 0;
@@ -701,10 +620,7 @@ let do_subscribe t ~push ~conn_id (opts : Proto.options) body =
       let detail = string_of_int id in
       Proto.response ~detail Proto.Complete
         (render_body opts ~status:Proto.Complete ~detail text)
-    | exception e ->
-      Atomic.incr t.n_errors;
-      Metrics.incr m_errors;
-      error_response opts (diag_of_exn e))
+    | exception e -> error_response opts (diag_of_exn e))
 
 let do_unsubscribe t (opts : Proto.options) body =
   match int_of_string_opt (String.trim body) with
@@ -797,10 +713,7 @@ let do_update t (opts : Proto.options) body =
         (Graph.n_nodes db') (Graph.n_edges db') kept dropped pushed
     in
     Proto.response Proto.Complete (render_body opts ~status:Proto.Complete ~detail:"-" text)
-  | exception e ->
-    Atomic.incr t.n_errors;
-    Metrics.incr m_errors;
-    error_response opts (diag_of_exn e)
+  | exception e -> error_response opts (diag_of_exn e)
 
 (* ------------------------------------------------------------------ *)
 (* Frame dispatch                                                      *)
@@ -888,6 +801,10 @@ let handle ?lane ?(queued = 0) ?push ?conn_id t raw =
   Metrics.add tc.tc_bytes_in (String.length raw);
   Metrics.add tc.tc_bytes_out (String.length resp.Proto.body);
   Atomic.incr t.n_requests;
+  if resp.Proto.status = Proto.Error then begin
+    Atomic.incr t.n_errors;
+    Metrics.incr m_errors
+  end;
   (resp, close)
 
 let handle_line ?lane ?queued t raw =

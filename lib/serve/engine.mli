@@ -58,6 +58,23 @@
 
     {2 Telemetry}
 
+    A [QUERY] or [SUBSCRIBE] body is compiled once
+    ({!Ssd_lint.Lang.compile}, one [lang.compile] span under the
+    request's [serve.request] span); the lint gate, cache lookup,
+    evaluation and slow-query estimate all reuse it.
+
+    Every request bills to a tenant — the [tenant=] option, or
+    ["default"] — on labeled counter families
+    ([serve.tenant.requests{tenant="…"}], [bytes_in], [bytes_out],
+    [steps], [partials], [shed]) in the default {!Ssd_obs.Metrics}
+    registry.  Admission decisions ([admission.shed],
+    [admission.clamp]), cache invalidations ([cache.invalidate]) and
+    queries slower than [slow_query_ms] ([slow_query], with plan and
+    est-vs-actual cardinality) emit structured events to
+    {!Ssd_obs.Events.default}; [STATS] returns the full registry
+    snapshot as JSON and [EVENTS] tails the event ring, so protocol
+    clients see exactly what the admin plane serves.
+
     {2 Live subscriptions}
 
     [SUBSCRIBE] registers a query (unql or datalog) against the store;
@@ -72,19 +89,7 @@
     {e revalidated} ({!Unql.Cache.revalidate}) instead of flushed, so
     footprint-disjoint cached answers survive the update.  Subscription
     activity shows up on the [incr.sub.*] metrics and the
-    [incr.subscribe] / [incr.push] / [incr.update] events.
-
-    Every request bills to a tenant — the [tenant=] option, or
-    ["default"] — on labeled counter families
-    ([serve.tenant.requests{tenant="…"}], [bytes_in], [bytes_out],
-    [steps], [partials], [shed]) in the default {!Ssd_obs.Metrics}
-    registry.  Admission decisions ([admission.shed],
-    [admission.clamp]), cache invalidations ([cache.invalidate]) and
-    queries slower than [slow_query_ms] ([slow_query], with plan and
-    est-vs-actual cardinality) emit structured events to
-    {!Ssd_obs.Events.default}; [STATS] returns the full registry
-    snapshot as JSON and [EVENTS] tails the event ring, so protocol
-    clients see exactly what the admin plane serves. *)
+    [incr.subscribe] / [incr.push] / [incr.update] events. *)
 
 type config = {
   max_frame : int; (** frames longer than this are refused (SSD551) *)
@@ -139,7 +144,7 @@ type stats = {
   accepted : int; (** queries admitted and evaluated *)
   shed : int;
   partial : int;
-  errors : int;
+  errors : int; (** frames answered with status error, any verb *)
   updates : int;
 }
 

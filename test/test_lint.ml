@@ -119,8 +119,7 @@ let tree_db = Ssd.Syntax.parse_graph "{a: {b: {}}}"
 let test_cardinality () =
   let ann g = Ssd_schema.Annotated.build g in
   let cost ?declared ~lang db src =
-    ignore declared;
-    L.check_cost ~lang ~annotated:(ann db) ?declared src
+    (Option.get (L.Lang.estimate ?declared (ann db) (L.Lang.compile lang src))).L.Lang.card
   in
   (* SSD250: statically empty — a path the DataGuide proves dead *)
   expect_card "SSD250"

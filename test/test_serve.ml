@@ -240,6 +240,123 @@ let malformed_and_unsupported () =
   Alcotest.(check string) "unbound variable" "SSD303"
     (code "QUERY - select {r: x} where {a: \\t} <- DB")
 
+(* The same table on a push-capable engine, where SUBSCRIBE gets past
+   the transport check: syntax errors keep their SSD00x code in every
+   language, a lint error wins over "unsupported subscription language",
+   and WebSQL — which has no static front end — fails a QUERY at run
+   time (SSD553) but a SUBSCRIBE on the language alone (SSD555). *)
+let error_code_table () =
+  let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in
+  let code raw =
+    (fst (Engine.handle ~push:ignore ~conn_id:1 engine raw)).Proto.detail
+  in
+  List.iter
+    (fun (frame, expected) -> Alcotest.(check string) frame expected (code frame))
+    [
+      ("QUERY lang=datalog p(?X :-", "SSD003");
+      ("QUERY lang=websql select", "SSD553");
+      ("SUBSCRIBE - select", "SSD001");
+      ("SUBSCRIBE lang=lorel select", "SSD002");
+      ("SUBSCRIBE lang=lorel select X from DB.entry X", "SSD555");
+      ("SUBSCRIBE lang=websql select", "SSD555");
+      ("SUBSCRIBE lang=sparql x", "SSD555");
+      ("SUBSCRIBE lang=datalog p(?X :-", "SSD003");
+    ]
+
+(* [errors] counts every frame answered with status error, whatever the
+   verb and wherever the error was found: malformed and oversized
+   frames, UNSUBSCRIBE, SUBSCRIBE, QUERY and UPDATE alike. *)
+let errors_count_every_error_frame () =
+  let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in
+  let serve_errors = Ssd_obs.Metrics.counter "serve.errors" in
+  let before = Ssd_obs.Metrics.value serve_errors in
+  let frames =
+    [
+      "FROBNICATE - x";
+      "QUERY -";
+      "QUERY color=red x";
+      "QUERY lang=sparql x";
+      "QUERY - select";
+      "QUERY lang=websql select";
+      "SUBSCRIBE - " ^ q_titles;
+      "UNSUBSCRIBE - nope";
+      "UNSUBSCRIBE - 42";
+      "UPDATE - frobnicate";
+      "QUERY - " ^ String.make (Engine.default_config.Engine.max_frame + 1) 'x';
+      "PING";
+      "QUERY - " ^ q_titles;
+    ]
+  in
+  let n_error_frames =
+    List.length
+      (List.filter
+         (fun raw -> (fst (Engine.handle engine raw)).Proto.status = Proto.Error)
+         frames)
+  in
+  Alcotest.(check int) "eleven of the thirteen frames are errors" 11 n_error_frames;
+  Alcotest.(check int) "stats.errors = error frames" n_error_frames
+    (Engine.stats engine).Engine.errors;
+  Alcotest.(check int) "serve.errors rose by the same" n_error_frames
+    (Ssd_obs.Metrics.value serve_errors - before)
+
+(* A request is compiled exactly once: one [lang.compile] span under
+   each [serve.request], for a QUERY in every language, a QUERY past the
+   slow-query threshold (whose estimate reuses the compiled query), and
+   UnQL and datalog SUBSCRIBEs.  The lint pass runs once per linted
+   request (WebSQL has no analyzer). *)
+let one_compile_per_request () =
+  let module Trace = Ssd_obs.Trace in
+  let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in
+  let slow =
+    Engine.create
+      ~config:{ Engine.default_config with Engine.slow_query_ms = 0. }
+      (Engine.store ~db:(fig1 ()) ())
+  in
+  let web =
+    Engine.create
+      (Engine.store ~db:(Ssd_workload.Webgraph.generate ~seed:42 ~n_pages:20 ()) ())
+  in
+  let lint_checks = Ssd_obs.Metrics.counter "lint.checks" in
+  let rec count_named name (sp : Trace.span) =
+    List.fold_left
+      (fun n c -> n + count_named name c)
+      (if sp.Trace.name = name then 1 else 0)
+      sp.Trace.children
+  in
+  let cases =
+    [
+      ("unql", engine, "QUERY - " ^ q_titles, 1);
+      ("lorel", engine, "QUERY lang=lorel select X from DB.entry.movie X", 1);
+      ("datalog", engine, "QUERY lang=datalog r(?X) :- root(?X).", 1);
+      ("websql", web, "QUERY lang=websql SELECT d.url FROM ANYWHERE d", 0);
+      ("slow unql", slow, "QUERY - " ^ q_titles, 1);
+      ("slow lorel", slow, "QUERY lang=lorel select X from DB.entry.movie X", 1);
+      ("subscribe unql", engine, "SUBSCRIBE - " ^ q_titles, 1);
+      ("subscribe datalog", engine, "SUBSCRIBE lang=datalog r(?X) :- root(?X).", 1);
+    ]
+  in
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.clear ())
+    (fun () ->
+      List.iter
+        (fun (what, e, raw, linted) ->
+          Trace.clear ();
+          let checks = Ssd_obs.Metrics.value lint_checks in
+          let resp, _ = Engine.handle ~push:ignore ~conn_id:1 e raw in
+          check (what ^ " answered") true (resp.Proto.status = Proto.Complete);
+          match Trace.spans () with
+          | [ root ] ->
+            Alcotest.(check string) (what ^ " root span") "serve.request" root.Trace.name;
+            Alcotest.(check int) (what ^ ": one lang.compile") 1
+              (count_named "lang.compile" root);
+            Alcotest.(check int) (what ^ ": lint.checks") linted
+              (Ssd_obs.Metrics.value lint_checks - checks)
+          | roots -> Alcotest.failf "%s: %d root spans" what (List.length roots))
+        cases)
+
 let queued_backlog_sheds () =
   let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in
   (* default shed_at = 64: a transport reporting a deep backlog sheds *)
@@ -374,6 +491,11 @@ let tests =
         oversized_frame_closes;
       Alcotest.test_case "malformed/unsupported get typed SSD55x codes" `Quick
         malformed_and_unsupported;
+      Alcotest.test_case "error-code table, push-capable engine" `Quick error_code_table;
+      Alcotest.test_case "errors counts every error frame once" `Quick
+        errors_count_every_error_frame;
+      Alcotest.test_case "one lang.compile per QUERY and SUBSCRIBE" `Quick
+        one_compile_per_request;
       Alcotest.test_case "transport backlog drives shedding" `Quick queued_backlog_sheds;
       Alcotest.test_case "STATS and QUIT" `Quick quit_and_stats;
     ]

@@ -61,54 +61,22 @@ let defined_names src =
   done;
   !out
 
-(* Serve-protocol frame literals ("QUERY lang=lorel <body>") are linted
-   on their body, with the language taken from the lang= option (default
-   unql, matching the protocol).  UPDATE frames carry Lorel update
-   statements, which have no analyzer yet. *)
-let strip_frame src =
-  let s = String.trim src in
-  let after prefix =
-    let np = String.length prefix in
-    if String.length s > np && String.sub s 0 np = prefix then
-      Some (String.sub s np (String.length s - np))
-    else None
-  in
-  match after "QUERY " with
-  | Some rest -> (
-    let rest = String.trim rest in
-    match String.index_opt rest ' ' with
-    | None -> Some (None, None)
-    | Some sp ->
-      let opts = String.sub rest 0 sp in
-      let body = String.sub rest (sp + 1) (String.length rest - sp - 1) in
-      let lang =
-        List.find_map
-          (fun kv ->
-            match String.index_opt kv '=' with
-            | Some e when String.sub kv 0 e = "lang" ->
-              Some (String.sub kv (e + 1) (String.length kv - e - 1))
-            | _ -> None)
-          (String.split_on_char ',' opts)
-      in
-      Some (lang, Some body))
-  | None -> (
-    match after "UPDATE " with Some _ -> Some (None, None) | None -> None)
-
-(* The query language of a literal and the text to lint (the literal
-   itself, or a protocol frame's body). *)
+(* The query language of a literal and the text to lint.  A serve
+   protocol frame ("QUERY lang=lorel <body>", see Ssd_serve.Proto) is
+   linted on its body, in the frame's language; other frames (UPDATE
+   carries Lorel update statements, which have no analyzer yet) are
+   skipped.  Anything else is classified by keyword. *)
 let classify src =
   (* sprintf templates are not complete queries *)
   if contains src "%s" || contains src "%S" || contains src "%d" then None
   else
-    match strip_frame src with
-    | Some (lang, body) -> (
-      match (lang, body) with
-      | _, None -> None
-      | (Some "unql" | None), Some b -> Some (Ssd_lint.Unql, b)
-      | Some "lorel", Some b -> Some (Ssd_lint.Lorel, b)
-      | Some "datalog", Some b -> Some (Ssd_lint.Datalog, b)
-      | Some _, Some _ -> None)
-    | None ->
+    match Ssd_serve.Proto.parse_request (String.trim src) with
+    | Ok { verb = Query | Subscribe; opts; body } -> (
+      match Ssd_lint.Lang.of_string opts.lang with
+      | lang -> Some (lang, body)
+      | exception Ssd_diag.Fail _ -> None)
+    | Ok _ -> None
+    | Error _ ->
       if contains src ":-" then Some (Ssd_lint.Datalog, src)
       else if contains ~lower:true src "such that" then None
       else if contains src "select" && contains src "from " then
@@ -141,7 +109,7 @@ let () =
               if Ssd_lint.errors r > 0 then begin
                 incr failures;
                 Printf.printf "%s:%d: %s query fails lint:\n%s" path (line_of src off)
-                  (Ssd_lint.lang_name lang)
+                  (Ssd_lint.Lang.name lang)
                   (Ssd_diag.render r.Ssd_lint.diags)
               end)
           (raw_literals src)
