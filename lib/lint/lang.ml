@@ -125,7 +125,7 @@ type result =
   | Tuples of (string * Label.t list list) list
   | Relation of Relstore.Relation.t
 
-let eval ?budget ~db c =
+let eval ?budget ?edb ~db c =
   let graph g = Graph g in
   match (c, budget) with
   | Unql (q, _), Some budget -> Budget.map graph (Unql.Eval.eval_outcome ~budget ~db q)
@@ -133,11 +133,14 @@ let eval ?budget ~db c =
   | Lorel (q, _), Some budget -> Budget.map graph (Lorel.Eval.eval_outcome ~budget ~db q)
   | Lorel (q, _), None -> Budget.Complete (Graph (Lorel.Eval.eval ~db q))
   | Datalog program, _ -> (
-    let edb = Relstore.Triple.edb db in
+    let tuples =
+      match edb with
+      | Some base -> Relstore.Datalog.eval_base ?budget (base ()) program
+      | None -> Relstore.Datalog.eval ?budget ~edb:(Relstore.Triple.edb db) program
+    in
     match budget with
-    | Some budget ->
-      Budget.map (fun r -> Tuples r) (Relstore.Datalog.eval_outcome ~budget ~edb program)
-    | None -> Budget.Complete (Tuples (Relstore.Datalog.eval ~edb program)))
+    | Some budget -> Budget.map (fun r -> Tuples r) (Budget.wrap budget tuples)
+    | None -> Budget.Complete (Tuples tuples))
   | Websql q, _ -> Budget.Complete (Relation (Websql.Eval.eval ~db (Lazy.force q)))
 
 let render = function

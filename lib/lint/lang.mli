@@ -88,8 +88,16 @@ type result =
   | Tuples of (string * Ssd.Label.t list list) list (** datalog *)
   | Relation of Relstore.Relation.t (** WebSQL *)
 
-(** Evaluates under [budget] when given; WebSQL ignores it. *)
-val eval : ?budget:Ssd.Budget.t -> db:Ssd.Graph.t -> compiled -> result Ssd.Budget.outcome
+(** Evaluates under [budget] when given; WebSQL ignores it.  A datalog
+    program reads the frozen EDB [edb ()] when given — which must be
+    built from [db]'s {!Relstore.Triple.edb} — and otherwise loads
+    [db]'s triples afresh.  [edb] is called for datalog only. *)
+val eval :
+  ?budget:Ssd.Budget.t ->
+  ?edb:(unit -> Relstore.Datalog.base) ->
+  db:Ssd.Graph.t ->
+  compiled ->
+  result Ssd.Budget.outcome
 
 (** The newline-terminated text the CLI prints and the server frames:
     ssd syntax, a relation table, or [pred: N tuples] blocks. *)

@@ -418,7 +418,10 @@ type tuple_set = {
   index : (int * Label.t, Label.t list list ref) Hashtbl.t;
 }
 
-let set_create () = { table = Hashtbl.create 64; index = Hashtbl.create 64 }
+(* [freeze] relies on every set's table starting at this size. *)
+let set_table_size = 64
+
+let set_create () = { table = Hashtbl.create set_table_size; index = Hashtbl.create 64 }
 
 let set_mem s t = Hashtbl.mem s.table t
 
@@ -441,6 +444,62 @@ let set_probe s ~pos ~value =
   | None -> []
 
 let set_size s = Hashtbl.length s.table
+
+(* A frozen relation: one extensional predicate of a shared {!base},
+   immutable once built, so concurrent evaluations (and the chunked
+   parallel firing) read it without locks.  Row [i] of the relation is
+   [cols.(0).(i)], [cols.(1).(i)], ...; rows are numbered in the order
+   [set_to_list] lists the mutable set [facts_of_edb] would have built
+   from the same tuples, and [probe.(pos)] maps a value to its rows in
+   [set_probe] order, so a scan or a probe enumerates exactly what the
+   mutable set would have, in the same order.  There is no tuple table:
+   membership probes position 0.  [order] holds the row ids in
+   first-insertion order, from which a private mutable copy rebuilds the
+   very set [facts_of_edb] would have made. *)
+type rel = {
+  n_rows : int;
+  arity : int; (* -1: mixed arities, see [arities] *)
+  arities : int array; (* per row, only when [arity = -1] *)
+  cols : Label.t array array;
+  probe : (Label.t, int array) Hashtbl.t array;
+  order : int array;
+}
+
+type base = (string, rel) Hashtbl.t
+
+(* A relation as the evaluator reads it: a mutable set (IDB predicates,
+   deltas, one-shot EDBs) or a frozen base relation. *)
+type view =
+  | Mut of tuple_set
+  | Frozen of rel
+
+let row_arity r i = if r.arity >= 0 then r.arity else r.arities.(i)
+
+let row_to_list r i = List.init (row_arity r i) (fun j -> r.cols.(j).(i))
+
+let rel_probe r ~pos ~value =
+  if pos >= Array.length r.probe then [||]
+  else Option.value ~default:[||] (Hashtbl.find_opt r.probe.(pos) value)
+
+let row_equal r i tuple =
+  let a = row_arity r i in
+  let rec go j = function
+    | [] -> j = a
+    | v :: rest -> j < a && Label.equal r.cols.(j).(i) v && go (j + 1) rest
+  in
+  go 0 tuple
+
+let rel_mem r = function
+  | [] ->
+    let rec go i = i < r.n_rows && (row_arity r i = 0 || go (i + 1)) in
+    go 0
+  | v :: _ as tuple ->
+    Array.exists (fun i -> row_equal r i tuple) (rel_probe r ~pos:0 ~value:v)
+
+let view_mem view tuple =
+  match view with
+  | Mut s -> set_mem s tuple
+  | Frozen r -> rel_mem r tuple
 
 let eval_term env = function
   | Const l -> l
@@ -466,6 +525,25 @@ let match_tuple env args tuple =
   in
   go env args tuple
 
+(* [match_tuple] against row [i] of a frozen relation, read in place
+   (written out rather than shared: this is the join's inner loop). *)
+let match_row env args r i =
+  let a = row_arity r i in
+  let rec go env j args =
+    match args with
+    | [] -> if j = a then Some env else None
+    | _ when j >= a -> None
+    | arg :: args -> (
+      let v = r.cols.(j).(i) in
+      match arg with
+      | Const l -> if Label.equal l v then go env (j + 1) args else None
+      | Var x -> (
+        match Env.find_opt x env with
+        | Some l -> if Label.equal l v then go env (j + 1) args else None
+        | None -> go (Env.add x v env) (j + 1) args))
+  in
+  go env 0 args
+
 let eval_cmp op l1 l2 =
   let c = Label.compare l1 l2 in
   match op with
@@ -489,8 +567,31 @@ let bound_position env args =
   in
   go 0 args
 
+(* Calls [k] with every extension of [env] matching [args] against a
+   tuple of [view]: a probe of the first bound position's index, else a
+   scan, in the same order for both kinds of view. *)
+let iter_matches view env args k =
+  match view with
+  | Mut s ->
+    let candidates =
+      match bound_position env args with
+      | Some (pos, value) -> set_probe s ~pos ~value
+      | None -> set_to_list s
+    in
+    List.iter
+      (fun t -> match match_tuple env args t with Some env' -> k env' | None -> ())
+      candidates
+  | Frozen r -> (
+    let visit i = match match_row env args r i with Some env' -> k env' | None -> () in
+    match bound_position env args with
+    | Some (pos, value) -> Array.iter visit (rel_probe r ~pos ~value)
+    | None ->
+      for i = 0 to r.n_rows - 1 do
+        visit i
+      done)
+
 (* Evaluate the body left-to-right over environments.  [set_of] maps a
-   predicate to its current tuple set; the positive literal at index
+   predicate to its current view; the positive literal at index
    [delta_at] (if given) reads [delta] instead — or, if [delta_list] is
    given, exactly that tuple list in order (used by the chunked parallel
    firing, where the slice stands in for the delta). *)
@@ -501,29 +602,23 @@ let eval_rule_raw ~set_of ?delta_at ?delta ?delta_list rule =
     | [] ->
       let tuple = List.map (eval_term env) rule.head.args in
       results := tuple :: !results
-    | Pos a :: rest ->
-      let candidates =
-        match delta_at, delta_list with
-        | Some d, Some tuples when d = i -> tuples
-        | _ ->
-          let set =
-            match delta_at, delta with
-            | Some d, Some dset when d = i -> dset
-            | _ -> set_of a.pred
-          in
-          (match bound_position env a.args with
-          | Some (pos, value) -> set_probe set ~pos ~value
-          | None -> set_to_list set)
-      in
-      List.iter
-        (fun t ->
-          match match_tuple env a.args t with
-          | Some env' -> go (i + 1) env' rest
-          | None -> ())
-        candidates
+    | Pos a :: rest -> (
+      let k env' = go (i + 1) env' rest in
+      match delta_at, delta_list with
+      | Some d, Some tuples when d = i ->
+        List.iter
+          (fun t -> match match_tuple env a.args t with Some env' -> k env' | None -> ())
+          tuples
+      | _ ->
+        let view =
+          match delta_at, delta with
+          | Some d, Some dset when d = i -> Mut dset
+          | _ -> set_of a.pred
+        in
+        iter_matches view env a.args k)
     | Neg a :: rest ->
       let tuple = List.map (eval_term env) a.args in
-      if not (set_mem (set_of a.pred) tuple) then go (i + 1) env rest
+      if not (view_mem (set_of a.pred) tuple) then go (i + 1) env rest
     | Cmp (op, t1, t2) :: rest ->
       if eval_cmp op (eval_term env t1) (eval_term env t2) then go (i + 1) env rest
   in
@@ -566,22 +661,6 @@ let eval_rule_delta ~set_of ~delta_at ~delta rule =
       []
   end
 
-let facts_of_edb edb =
-  let facts : (string, tuple_set) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (p, tuples) ->
-      let s =
-        match Hashtbl.find_opt facts p with
-        | Some s -> s
-        | None ->
-          let s = set_create () in
-          Hashtbl.add facts p s;
-          s
-      in
-      List.iter (set_add s) tuples)
-    edb;
-  facts
-
 let empty_set = set_create ()
 
 let facts_get facts p = Option.value ~default:empty_set (Hashtbl.find_opt facts p)
@@ -593,6 +672,106 @@ let facts_set facts p =
     let s = set_create () in
     Hashtbl.add facts p s;
     s
+
+let facts_of_edb edb =
+  let facts : (string, tuple_set) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun (p, tuples) -> List.iter (set_add (facts_set facts p)) tuples) edb;
+  facts
+
+(* The views of a fact table holding every predicate as a mutable set. *)
+let mut_views facts p = Mut (facts_get facts p)
+
+(* Freeze one predicate's tuples ([chunks], in EDB order, duplicates
+   allowed).  Inserting the distinct tuples into a table of the mutable
+   sets' initial size reproduces a mutable set's bucket layout, so
+   folding it yields [set_to_list]'s row order; consing row ids in
+   insertion order yields [set_probe]'s.  [ints] interns [Int] labels
+   (node ids recur across rows and positions) across the whole base. *)
+let freeze ints chunks =
+  let table : (Label.t list, int) Hashtbl.t = Hashtbl.create set_table_size in
+  let inserted = ref [] in
+  List.iter
+    (List.iter (fun t ->
+         if not (Hashtbl.mem table t) then begin
+           Hashtbl.replace table t (Hashtbl.length table);
+           inserted := t :: !inserted
+         end))
+    chunks;
+  let n = Hashtbl.length table in
+  let inserted = Array.of_list (List.rev !inserted) in
+  let order = Array.make n 0 in
+  ignore (Hashtbl.fold (fun _ k row -> order.(k) <- row; row - 1) table (n - 1));
+  let len k = List.length inserted.(k) in
+  let arity =
+    if n = 0 then 0
+    else if Array.for_all (fun t -> List.length t = len 0) inserted then len 0
+    else -1
+  in
+  let arities =
+    if arity >= 0 then [||]
+    else begin
+      let a = Array.make n 0 in
+      Array.iteri (fun k row -> a.(row) <- len k) order;
+      a
+    end
+  in
+  let width = Array.fold_left (fun w t -> max w (List.length t)) 0 inserted in
+  let intern = function
+    | Label.Int i as l -> (
+      match Hashtbl.find_opt ints i with
+      | Some l' -> l'
+      | None ->
+        Hashtbl.add ints i l;
+        l)
+    | l -> l
+  in
+  let cols = Array.init width (fun _ -> Array.make n (Label.Int 0)) in
+  let groups = Array.init width (fun _ -> Hashtbl.create 64) in
+  Array.iteri
+    (fun k t ->
+      let row = order.(k) in
+      List.iteri
+        (fun j v ->
+          let v = intern v in
+          cols.(j).(row) <- v;
+          match Hashtbl.find_opt groups.(j) v with
+          | Some rows -> rows := row :: !rows
+          | None -> Hashtbl.add groups.(j) v (ref [ row ]))
+        t)
+    inserted;
+  let probe =
+    Array.map
+      (fun g ->
+        let h = Hashtbl.create (Hashtbl.length g) in
+        Hashtbl.iter (fun v rows -> Hashtbl.add h v (Array.of_list !rows)) g;
+        h)
+      groups
+  in
+  { n_rows = n; arity; arities; cols; probe; order }
+
+let base_of_edb edb =
+  let chunks = Hashtbl.create 8 and preds = ref [] in
+  List.iter
+    (fun (p, tuples) ->
+      match Hashtbl.find_opt chunks p with
+      | Some c -> c := tuples :: !c
+      | None ->
+        Hashtbl.add chunks p (ref [ tuples ]);
+        preds := p :: !preds)
+    edb;
+  let ints = Hashtbl.create 1024 in
+  let base = Hashtbl.create 8 in
+  List.iter
+    (fun p -> Hashtbl.add base p (freeze ints (List.rev !(Hashtbl.find chunks p))))
+    (List.rev !preds);
+  base
+
+(* The mutable set [facts_of_edb] would have built for [r]: its distinct
+   tuples re-inserted in their original order. *)
+let set_of_rel r =
+  let s = set_create () in
+  Array.iter (fun row -> set_add s (row_to_list r row)) r.order;
+  s
 
 let idb_result program facts =
   let idb = List.map (fun r -> r.head.pred) program |> List.sort_uniq String.compare in
@@ -609,7 +788,7 @@ let eval_naive ~edb program =
   Metrics.incr m_evals;
   Metrics.time t_eval @@ fun () ->
   let facts = facts_of_edb edb in
-  let set_of = facts_get facts in
+  let set_of = mut_views facts in
   List.iter
     (fun rules ->
       let changed = ref true in
@@ -642,14 +821,15 @@ exception Out_of_budget
 
 let check_budget b = if not (Budget.step b) then raise Out_of_budget
 
-let eval ?budget ~edb program =
+(* The stratified semi-naive fixpoint over the fact table and views
+   [setup] returns (built inside the timer and span). *)
+let eval_from ?budget program setup =
   check_safety program;
   Metrics.incr m_evals;
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Metrics.time t_eval @@ fun () ->
   Trace.with_span "datalog.eval" @@ fun () ->
-  let facts = facts_of_edb edb in
-  let set_of = facts_get facts in
+  let facts, set_of = setup () in
   (try
      List.iteri
        (fun stratum rules ->
@@ -728,6 +908,31 @@ let eval ?budget ~edb program =
    with Out_of_budget -> ());
   idb_result program facts
 
+let eval ?budget ~edb program =
+  eval_from ?budget program (fun () ->
+      let facts = facts_of_edb edb in
+      (facts, mut_views facts))
+
+(* A rule whose head names a base predicate adds to it: that predicate
+   gets a private mutable copy, and the shared base is never written. *)
+let eval_base ?budget base program =
+  eval_from ?budget program (fun () ->
+      let facts = Hashtbl.create 16 in
+      List.iter
+        (fun r ->
+          let p = r.head.pred in
+          match Hashtbl.find_opt base p with
+          | Some rel when not (Hashtbl.mem facts p) -> Hashtbl.add facts p (set_of_rel rel)
+          | _ -> ())
+        program;
+      let set_of p =
+        match Hashtbl.find_opt facts p with
+        | Some s -> Mut s
+        | None -> (
+          match Hashtbl.find_opt base p with Some r -> Frozen r | None -> Mut empty_set)
+      in
+      (facts, set_of))
+
 let eval_outcome ~budget ~edb program = Budget.wrap budget (eval ~budget ~edb program)
 
 let query ~edb program pred =
@@ -766,7 +971,7 @@ module Incremental = struct
       unsafe ~code:"SSD213"
         "incremental maintenance requires a negation-free program";
     let facts = facts_of_edb edb in
-    let set_of = facts_get facts in
+    let set_of = mut_views facts in
     (* Negation-free: one stratum; naive rounds to the fixpoint (the
        retained sets make later advances cheap, prepare itself is a
        one-off). *)
@@ -795,7 +1000,7 @@ module Incremental = struct
      returns the {e new} tuples per IDB predicate (possibly empty). *)
   let advance st ~edb_delta =
     Metrics.incr m_advances;
-    let set_of = facts_get st.facts in
+    let set_of = mut_views st.facts in
     let idb =
       List.map (fun r -> r.head.pred) st.program |> List.sort_uniq String.compare
     in

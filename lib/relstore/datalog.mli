@@ -87,6 +87,30 @@ val eval_outcome :
   program ->
   (string * Ssd.Label.t list list) list Ssd.Budget.outcome
 
+(** {2 A shared, frozen EDB}
+
+    {!eval} loads its [edb] into hash-indexed tuple sets on every call;
+    for a large graph that load costs more than most joins over it.  A
+    {!base} is that load done once: read-only, safe to share across
+    concurrent evaluations and domains, and compact (column arrays, one
+    row-id array per position and value, [Int] labels interned).  The
+    server builds one per published snapshot. *)
+
+(** An immutable, indexed extensional database. *)
+type base
+
+(** [base_of_edb edb] freezes [edb] (typically {!Triple.edb}); a
+    predicate listed twice is the union of its entries, as in {!eval}. *)
+val base_of_edb : edb -> base
+
+(** [eval_base ?budget base program] is [eval ?budget ~edb program] for
+    the [edb] [base] was built from — the same tuples in the same order,
+    and the same budget consumption.  A rule whose head names a base
+    predicate derives into a private copy; [base] itself is never
+    modified. *)
+val eval_base :
+  ?budget:Ssd.Budget.t -> base -> program -> (string * Ssd.Label.t list list) list
+
 (** [query ~edb program pred] is the tuple set of one predicate (empty if
     never derived). *)
 val query : edb:edb -> program -> string -> Ssd.Label.t list list

@@ -17,6 +17,7 @@ let m_errors = Metrics.counter "serve.errors"
 let m_updates = Metrics.counter "serve.updates"
 let m_cache_hits = Metrics.counter "serve.cache_hits"
 let m_slow = Metrics.counter "serve.slow_queries"
+let m_base_builds = Metrics.counter "datalog.base.builds"
 let m_latency = Metrics.histogram "serve.latency_ns"
 
 (* Live-subscription telemetry (the incr.* family, alongside the
@@ -96,14 +97,48 @@ and sub_kind =
       mutable dstate : Relstore.Datalog.Incremental.state;
     }
 
-(* The database-of-record as readers see it: an immutable graph and the
-   number of UPDATEs committed before it.  Published whole through one
-   [Atomic.t], so a reader never sees a graph paired with another
-   graph's version. *)
+(* A value computed from one snapshot's graph by the first reader that
+   needs it and shared by every later one.  The mutex is held only while
+   computing; a [Lazy.t] would not do, since forcing one from two
+   domains at once raises. *)
+type 'a memo = {
+  memo_m : Mutex.t;
+  memo_v : 'a option Atomic.t;
+}
+
+let memo () = { memo_m = Mutex.create (); memo_v = Atomic.make None }
+
+let force memo build =
+  match Atomic.get memo.memo_v with
+  | Some v -> v
+  | None ->
+    Mutex.protect memo.memo_m (fun () ->
+        match Atomic.get memo.memo_v with
+        | Some v -> v
+        | None ->
+          let v = build () in
+          Atomic.set memo.memo_v (Some v);
+          v)
+
+(* What a snapshot's readers derive from its graph, each built on first
+   use: the frozen datalog EDB (first datalog QUERY) and the annotated
+   DataGuide behind slow-query estimates (first slow query). *)
+type derived = {
+  base : Relstore.Datalog.base memo;
+  ann : Ssd_schema.Annotated.t memo;
+}
+
+(* The database-of-record as readers see it: an immutable graph, the
+   number of UPDATEs committed before it, and its derived structures.
+   Published whole through one [Atomic.t], so a reader never sees a
+   graph paired with another graph's version or EDB. *)
 type snapshot = {
   db : Graph.t;
   version : int;
+  derived : derived;
 }
+
+let snapshot db version = { db; version; derived = { base = memo (); ann = memo () } }
 
 type store = {
   (* Writer mutex: serializes UPDATE, SUBSCRIBE, UNSUBSCRIBE and
@@ -122,11 +157,6 @@ type store = {
      snapshot is published, so a failed persist leaves readers on the
      old version. *)
   mutable persist : (Graph.t -> unit) option;
-  (* Annotated DataGuide for slow-query cardinality estimates, cached
-     by graph fingerprint (building it walks the whole graph; slow
-     queries on the same database should pay once).  Last writer wins:
-     two readers racing on a new graph may both build it. *)
-  ann_cache : (int * Ssd_schema.Annotated.t) option Atomic.t;
   (* Live subscriptions, shared across engines over this store (an
      UPDATE through any engine notifies them all); guarded by [m]. *)
   subs : (int, sub) Hashtbl.t;
@@ -139,13 +169,12 @@ type store = {
 let store ?(cache_capacity = 128) ~db () =
   {
     m = Mutex.create ();
-    snap = Atomic.make { db; version = 0 };
+    snap = Atomic.make (snapshot db 0);
     cache_m = Mutex.create ();
     cache = Unql.Cache.create ~capacity:cache_capacity ();
     inflight = Atomic.make 0;
     req_seq = Atomic.make 0;
     persist = None;
-    ann_cache = Atomic.make None;
     subs = Hashtbl.create 16;
     next_sub = Atomic.make 0;
     fp_memo = Hashtbl.create 64;
@@ -304,9 +333,19 @@ let cached_eval st ~db q =
     with_cache st (fun c -> Unql.Cache.add c ~db q g);
     (g, false)
 
+(* The snapshot's frozen datalog EDB, built by its first datalog
+   QUERY. *)
+let datalog_base snap =
+  force snap.derived.base (fun () ->
+      Metrics.incr m_base_builds;
+      Trace.with_span "datalog.base" (fun () ->
+          Relstore.Datalog.base_of_edb (Relstore.Triple.edb snap.db)))
+
 (* UnQL without a budget goes through the shared result cache; every
-   other query evaluates directly. *)
-let eval_query t ~db ~budget (opts : Proto.options) c =
+   other query evaluates directly, datalog over the snapshot's frozen
+   EDB. *)
+let eval_query t ~snap ~budget (opts : Proto.options) c =
+  let db = snap.db in
   match (c, budget) with
   | Lang.Unql (q, _), None when opts.cache ->
     let g, hit = cached_eval t.st ~db q in
@@ -315,28 +354,20 @@ let eval_query t ~db ~budget (opts : Proto.options) c =
       Trace.bump "cache_hit" 1
     end;
     Budget.Complete (Lang.Graph g)
-  | _ -> Lang.eval ?budget ~db c
+  | _ -> Lang.eval ?budget ~edb:(fun () -> datalog_base snap) ~db c
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query telemetry                                                *)
 (* ------------------------------------------------------------------ *)
 
-let annotated_for t db =
-  let fp = Unql.Cache.fingerprint db in
-  match Atomic.get t.st.ann_cache with
-  | Some (fp', ann) when fp' = fp -> ann
-  | _ ->
-    let ann = Ssd_schema.Annotated.build db in
-    Atomic.set t.st.ann_cache (Some (fp, ann));
-    ann
-
 (* Static estimate + planned form for the slow-query event, from the
-   request's compiled query.  Runs only for queries already past the
-   slowness threshold; any failure degrades to "no estimate", never to
-   a failed response. *)
-let estimate t ~db c =
+   request's compiled query, over the snapshot's annotated DataGuide.
+   Runs only for queries already past the slowness threshold; any
+   failure degrades to "no estimate", never to a failed response. *)
+let estimate snap c =
   try
-    match Lang.estimate (annotated_for t db) c with
+    let ann = force snap.derived.ann (fun () -> Ssd_schema.Annotated.build snap.db) in
+    match Lang.estimate ann c with
     | Some e -> (e.Lang.card.Ssd_lint.Card.est_total, e.Lang.plan)
     | None -> (None, None)
   with _ -> (None, None)
@@ -344,10 +375,10 @@ let estimate t ~db c =
 let truncate_query q =
   if String.length q <= 200 then q else String.sub q 0 200 ^ "..."
 
-let slow_query_event t ~snap ~dt_ns ~steps ~rows (opts : Proto.options) body c
+let slow_query_event ~snap ~dt_ns ~steps ~rows (opts : Proto.options) body c
     (resp : Proto.response) =
   Metrics.incr m_slow;
-  let est, plan = estimate t ~db:snap.db c in
+  let est, plan = estimate snap c in
   let module J = Ssd.Json in
   let opt_field name = function Some v -> [ (name, v) ] | None -> [] in
   Events.emit Events.default "slow_query"
@@ -406,7 +437,7 @@ let do_query t ~queued (opts : Proto.options) body =
         let t0 = Ssd_obs.Clock.now_ns () in
         match
           let c = compile (Lang.of_string opts.lang) body in
-          let result = eval_query t ~db:snap.db ~budget opts c in
+          let result = eval_query t ~snap ~budget opts c in
           (c, result, Budget.map Lang.render result)
         with
         | c, result, outcome ->
@@ -423,7 +454,7 @@ let do_query t ~queued (opts : Proto.options) body =
           | Budget.Complete _ -> ());
           let resp = result_response opts outcome in
           if dt_ns >= t.cfg.slow_query_ms *. 1e6 then
-            slow_query_event t ~snap ~dt_ns ~steps
+            slow_query_event ~snap ~dt_ns ~steps
               ~rows:(Lang.rows (Budget.value result))
               opts body c resp;
           resp
@@ -482,8 +513,10 @@ let sub_eval_text st db kind =
 (* Re-check one subscription after a committed update; returns the new
    rendering when the result changed.  Monotone ε-free deltas drive the
    datalog model semi-naively: only the inserted edges' consequences are
-   derived, and "no new fact" skips the render entirely. *)
-let sub_advance st ~db' ~(d : Ssd_incr.Delta.t) s =
+   derived, and "no new fact" skips the render entirely.  [edb'] is the
+   new graph's triples, shared by every subscription re-prepared on this
+   update. *)
+let sub_advance st ~db' ~edb' ~(d : Ssd_incr.Delta.t) s =
   match s.sub_kind with
   | Sub_unql _ ->
     let text = sub_eval_text st db' s.sub_kind in
@@ -511,8 +544,7 @@ let sub_advance st ~db' ~(d : Ssd_incr.Delta.t) s =
     else begin
       (* non-monotone (or ε-touching) update: node ids may have been
          remapped, so the retained model is re-prepared from scratch *)
-      ds.dstate <-
-        Relstore.Datalog.Incremental.prepare ~edb:(Relstore.Triple.edb db') ds.dprog;
+      ds.dstate <- Relstore.Datalog.Incremental.prepare ~edb:(Lazy.force edb') ds.dprog;
       let text = sub_eval_text st db' s.sub_kind in
       if text = s.sub_last then None else Some text
     end
@@ -524,6 +556,9 @@ let sub_advance st ~db' ~(d : Ssd_incr.Delta.t) s =
    — a push must never take the update down with it). *)
 let notify_subs st ~db' ~(d : Ssd_incr.Delta.t) ~delta_labels =
   let skipped = ref 0 and pushed = ref 0 in
+  (* built at most once per update, by the first re-prepared datalog
+     subscription; never leaves this domain *)
+  let edb' = lazy (Relstore.Triple.edb db') in
   Hashtbl.iter
     (fun _ s ->
       if Unql.Footprint.disjoint s.sub_fp delta_labels then begin
@@ -532,7 +567,7 @@ let notify_subs st ~db' ~(d : Ssd_incr.Delta.t) ~delta_labels =
       end
       else begin
         Metrics.incr m_sub_evals;
-        match sub_advance st ~db' ~d s with
+        match sub_advance st ~db' ~edb' ~d s with
         | None -> Metrics.incr m_sub_unchanged
         | Some text ->
           s.sub_seq <- s.sub_seq + 1;
@@ -684,13 +719,13 @@ let do_update t (opts : Proto.options) body =
         let kept, dropped =
           with_cache t.st (fun c -> Unql.Cache.revalidate c ~old_db ~new_db:db' ~keep)
         in
-        let snap = { db = db'; version = old.version + 1 } in
+        let snap = snapshot db' (old.version + 1) in
         Atomic.set t.st.snap snap;
         Atomic.incr t.n_updates;
         let skipped, pushed = notify_subs t.st ~db' ~d ~delta_labels in
         (snap, d, kept, dropped, skipped, pushed))
   with
-  | { db = db'; version }, d, kept, dropped, skipped, pushed ->
+  | { db = db'; version; _ }, d, kept, dropped, skipped, pushed ->
     Metrics.incr m_updates;
     Trace.annotate "version" (Trace.Int version);
     Events.emit Events.default "incr.update"

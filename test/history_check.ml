@@ -12,7 +12,10 @@
    - version [k] is the graph after the writer's [k]-th acknowledged
      UPDATE, replayed here with plain [Lorel.Update.run];
    - a read invoked at ticket [i] that returned at ticket [r] must be
-     byte-identical to scratch [Unql.Eval] of its query on some version
+     byte-identical to scratch evaluation of its query (UnQL or
+     datalog, the latter over a freshly loaded EDB, so the engine's
+     per-version frozen EDB is built by whichever read comes first,
+     racing across domains) on some version
      [v] with  lo <= v <= hi,  where [lo] counts the UPDATEs acked
      before [i] (no stale answer after an ack) and [hi] counts those
      sent before [r] (no answer from the future, and a failed persist
@@ -34,6 +37,7 @@ module Engine = Ssd_serve.Engine
 module Proto = Ssd_serve.Proto
 module Graph = Ssd.Graph
 module Json = Ssd.Json
+module Lang = Ssd_lint.Lang
 
 let n_updates = 12
 let n_readers = 2
@@ -56,14 +60,21 @@ let rand r n =
   Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31)) land max_int mod n
 
 (* Footprints both disjoint from and overlapping the updates, so reads
-   hit revalidated cache entries as well as fresh evaluations. *)
-let queries =
+   hit revalidated cache entries as well as fresh evaluations; the
+   datalog reads share their version's frozen EDB. *)
+let queries : (Lang.t * string) array =
   [|
-    "select {t: \\T} where {entry.movie.title: \\T} <- DB";
-    "select {hit: {}} where {entry.movie.title: _} <- DB";
-    "select {z: \\Z} where {annex.zzz.m: \\Z} <- DB";
-    "select {d: \\D} where {entry.movie.director: \\D} <- DB";
-    "select {kind: \\k} where {entry.\\k: _} <- DB";
+    (Lang.Unql, "select {t: \\T} where {entry.movie.title: \\T} <- DB");
+    (Lang.Unql, "select {hit: {}} where {entry.movie.title: _} <- DB");
+    (Lang.Unql, "select {z: \\Z} where {annex.zzz.m: \\Z} <- DB");
+    (Lang.Unql, "select {d: \\D} where {entry.movie.director: \\D} <- DB");
+    (Lang.Unql, "select {kind: \\k} where {entry.\\k: _} <- DB");
+    ( Lang.Datalog,
+      "t(?T) :- root(?R), edge(?R, entry, ?E), edge(?E, movie, ?M), edge(?M, title, ?A), \
+       edge(?A, ?T, _)." );
+    ( Lang.Datalog,
+      "r(?X) :- root(?X). r(?Y) :- r(?X), edge(?X, ?L, ?Y). \
+       z(?V) :- r(?X), edge(?X, zzz, ?Z), edge(?Z, m, ?W), edge(?W, ?V, _)." );
   |]
 
 let update_text rng k =
@@ -76,9 +87,14 @@ let update_text rng k =
   | 5 -> "rename DB.entry.movie to film"
   | _ -> "rename DB.entry.film to movie"
 
-let render_unql db q = Graph.to_string (Unql.Eval.eval ~db (Unql.Parser.parse q)) ^ "\n"
+(* What the CLI prints for a query: UnQL evaluated from scratch, datalog
+   over the triples loaded afresh. *)
+let render db (lang, text) =
+  Lang.render (Ssd.Budget.value (Lang.eval ~db (Lang.compile lang text)))
 
-let req verb body = Proto.render_request { Proto.verb; opts = Proto.default_options; body }
+let req ?(lang : Lang.t = Unql) verb body =
+  let opts = { Proto.default_options with Proto.lang = Lang.name lang } in
+  Proto.render_request { Proto.verb; opts; body }
 
 (* The seed's update chain: statements that apply to the graph before
    them, and the versions they produce ([versions.(0)] is the base). *)
@@ -161,7 +177,8 @@ let run_one seed =
       else begin
         let qi = rand rng (Array.length queries) in
         let inv = tick () in
-        let r, _ = Engine.handle ~conn_id:(c + 1) engine (req Proto.Query queries.(qi)) in
+        let lang, text = queries.(qi) in
+        let r, _ = Engine.handle ~conn_id:(c + 1) engine (req ~lang Proto.Query text) in
         let ret = tick () in
         go (n + 1) ({ qi; inv; ret; body = r.Proto.body; status = r.Proto.status } :: acc)
       end
@@ -179,7 +196,7 @@ let run_one seed =
     match Hashtbl.find_opt memo (v, qi) with
     | Some s -> s
     | None ->
-      let s = render_unql versions.(v) queries.(qi) in
+      let s = render versions.(v) queries.(qi) in
       Hashtbl.replace memo (v, qi) s;
       s
   in
@@ -190,7 +207,7 @@ let run_one seed =
       List.iteri
         (fun i rd ->
           if rd.status <> Proto.Complete then
-            fail "connection %d read %d (%s): status %s" (c + 1) i queries.(rd.qi)
+            fail "connection %d read %d (%s): status %s" (c + 1) i (snd queries.(rd.qi))
               (Proto.status_to_string rd.status);
           let lo = count_before rd.inv ack and hi = count_before rd.ret inv in
           let fits v = String.equal rd.body (scratch v rd.qi) in
@@ -202,7 +219,7 @@ let run_one seed =
             fail
               "connection %d read %d (%s): answer matches no version in [%d, %d] at or after \
                version %d last seen on this connection%s"
-              (c + 1) i queries.(rd.qi) lo hi !last
+              (c + 1) i (snd queries.(rd.qi)) lo hi !last
               (match any with
               | [] -> ""
               | vs -> " (it matches " ^ String.concat ", " (List.map string_of_int vs) ^ ")"))

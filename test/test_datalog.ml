@@ -111,8 +111,97 @@ let cyclic_graph_reachability () =
   let n = List.length (Datalog.query ~edb:(Triple.edb g) program "reach") in
   check_int "terminates on cycles, finds all" (Graph.n_nodes (Graph.eps_eliminate g)) n
 
+(* Programs the shared-base property runs in sequence over one base;
+   the symbol [LBL] stands for a generated label constant. *)
+let base_programs =
+  List.map Datalog.parse
+    [
+      (* full scan: no bound position *)
+      {| all(?X, ?L, ?Y) :- edge(?X, ?L, ?Y). |};
+      (* probes on a constant, then on a bound variable *)
+      {| hop(?Y, ?Z) :- edge(?X, LBL, ?Y), edge(?Y, ?L, ?Z). |};
+      (* recursion *)
+      {| reach(?X) :- root(?X).
+         reach(?Y) :- reach(?X), edge(?X, ?L, ?Y). |};
+      {| tc(?X, ?Y) :- edge(?X, ?L, ?Y).
+         tc(?X, ?Z) :- tc(?X, ?Y), edge(?Y, ?L, ?Z). |};
+      (* negation over edge and root *)
+      {| oneway(?X, ?Y) :- edge(?X, ?L, ?Y), not edge(?Y, ?L, ?X).
+         src(?X) :- edge(?X, ?L, ?Y).
+         leaf(?Y) :- edge(?X, ?L, ?Y), not src(?Y).
+         inner(?X) :- edge(?X, ?L, ?Y), not root(?X). |};
+      (* heads naming base predicates *)
+      {| edge(?Y, LBL, ?X) :- edge(?X, ?L, ?Y).
+         back(?X, ?Y) :- edge(?X, LBL, ?Y). |};
+      {| root(?Y) :- root(?X), edge(?X, ?L, ?Y).
+         top(?X) :- root(?X). |};
+      (* a mixed-arity predicate, nullary tuple included *)
+      {| m0() :- mix().
+         m1(?X) :- mix(?X).
+         m2(?X, ?L) :- mix(?X, ?L).
+         m3(?X, ?L) :- mix(?X, ?L), not mix(?X).
+         m4(?X) :- mix(?X, LBL, ?Y).
+         m5(?X) :- root(?X), not mix(). |};
+      (* comparisons *)
+      {| big(?L) :- edge(?X, ?L, ?Y), ?L > LBL. |};
+    ]
+
+let with_label l program =
+  let term = function Datalog.Const (Label.Sym "LBL") -> Datalog.Const l | t -> t in
+  let atom (a : Datalog.atom) = { a with Datalog.args = List.map term a.args } in
+  let literal = function
+    | Datalog.Pos a -> Datalog.Pos (atom a)
+    | Datalog.Neg a -> Datalog.Neg (atom a)
+    | Datalog.Cmp (op, t1, t2) -> Datalog.Cmp (op, term t1, term t2)
+  in
+  List.map
+    (fun (r : Datalog.rule) -> { Datalog.head = atom r.head; body = List.map literal r.body })
+    program
+
+(* The triple encoding plus a mixed-arity [mix] and a second [root]
+   entry (a predicate listed twice is the union of its entries). *)
+let base_edb g =
+  let edb = Triple.edb g in
+  let mix =
+    []
+    :: List.concat_map
+         (function [ u; l; v ] -> [ [ v ]; [ u; l ]; [ u; l; v ]; [ v ] ] | t -> [ t ])
+         (List.assoc "edge" edb)
+  in
+  edb @ [ ("mix", mix); ("root", [ [ Label.int 0 ] ]) ]
+
+let shared_base_is_fresh =
+  qtest "shared base = fresh EDB, tuple order and budget included" ~count:80
+    QCheck2.Gen.(
+      quad graph
+        (list_size (int_range 1 6)
+           (pair (int_range 0 (List.length base_programs - 1)) label))
+        (oneofl [ 1; 4 ])
+        (opt (int_range 1 300)))
+    (fun (g, picks, jobs, max_steps) ->
+      let edb = base_edb g in
+      let base = Datalog.base_of_edb edb in
+      let same program =
+        match max_steps with
+        | None -> Datalog.eval_base base program = Datalog.eval ~edb program
+        | Some max_steps ->
+          let b1 = Ssd.Budget.create ~max_steps () and b2 = Ssd.Budget.create ~max_steps () in
+          Ssd.Budget.wrap b1 (Datalog.eval_base ~budget:b1 base program)
+          = Datalog.eval_outcome ~budget:b2 ~edb program
+      in
+      let programs =
+        List.map (fun (i, l) -> with_label l (List.nth base_programs i)) picks
+        (* the base is still the original after every program *)
+        @ [ List.hd base_programs; Datalog.parse "top(?X) :- root(?X)." ]
+      in
+      Ssd_par.Pool.set_default_jobs jobs;
+      Fun.protect
+        ~finally:(fun () -> Ssd_par.Pool.set_default_jobs 1)
+        (fun () -> List.for_all same programs))
+
 let properties =
   [
+    shared_base_is_fresh;
     qtest "semi-naive = naive on random graphs" ~count:60 graph (fun g ->
         let program =
           Datalog.parse

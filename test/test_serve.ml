@@ -304,6 +304,12 @@ let errors_count_every_error_frame () =
    slow-query threshold (whose estimate reuses the compiled query), and
    UnQL and datalog SUBSCRIBEs.  The lint pass runs once per linted
    request (WebSQL has no analyzer). *)
+let rec count_spans name (sp : Ssd_obs.Trace.span) =
+  List.fold_left
+    (fun n c -> n + count_spans name c)
+    (if sp.Ssd_obs.Trace.name = name then 1 else 0)
+    sp.Ssd_obs.Trace.children
+
 let one_compile_per_request () =
   let module Trace = Ssd_obs.Trace in
   let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in
@@ -317,12 +323,6 @@ let one_compile_per_request () =
       (Engine.store ~db:(Ssd_workload.Webgraph.generate ~seed:42 ~n_pages:20 ()) ())
   in
   let lint_checks = Ssd_obs.Metrics.counter "lint.checks" in
-  let rec count_named name (sp : Trace.span) =
-    List.fold_left
-      (fun n c -> n + count_named name c)
-      (if sp.Trace.name = name then 1 else 0)
-      sp.Trace.children
-  in
   let cases =
     [
       ("unql", engine, "QUERY - " ^ q_titles, 1);
@@ -351,11 +351,93 @@ let one_compile_per_request () =
           | [ root ] ->
             Alcotest.(check string) (what ^ " root span") "serve.request" root.Trace.name;
             Alcotest.(check int) (what ^ ": one lang.compile") 1
-              (count_named "lang.compile" root);
+              (count_spans "lang.compile" root);
             Alcotest.(check int) (what ^ ": lint.checks") linted
               (Ssd_obs.Metrics.value lint_checks - checks)
           | roots -> Alcotest.failf "%s: %d root spans" what (List.length roots))
         cases)
+
+(* What the sequential CLI prints for a datalog query, as a wire frame:
+   [Lang.eval] with no shared EDB, so the triples are loaded afresh. *)
+let datalog_cli_frame ?max_steps ~db text =
+  let module Lang = Ssd_lint.Lang in
+  let module Budget = Ssd.Budget in
+  let budget = Option.map (fun max_steps -> Budget.create ~max_steps ()) max_steps in
+  let outcome = Lang.eval ?budget ~db (Lang.compile Lang.Datalog text) in
+  let status, detail =
+    match outcome with
+    | Budget.Complete _ -> (Proto.Complete, "-")
+    | Budget.Partial (_, why) -> (Proto.Partial, Budget.exhaustion_to_string why)
+  in
+  Proto.render_response (Proto.response ~detail status (Lang.render (Budget.value outcome)))
+
+(* Datalog QUERYs on one snapshot version share one frozen EDB, built by
+   the first of them inside a [datalog.base] span; an UPDATE's version
+   builds its own; UnQL and Lorel traffic never builds one.  Every
+   answer, partial ones included, is the CLI's. *)
+let datalog_base_per_version () =
+  let module Trace = Ssd_obs.Trace in
+  let module Metrics = Ssd_obs.Metrics in
+  let builds = Metrics.counter "datalog.base.builds" in
+  let b0 = Metrics.value builds in
+  let store = Engine.store ~db:(fig1 ()) () in
+  let e = Engine.create ~config:no_pressure store in
+  let prog =
+    "reach(?X) :- root(?X). reach(?Y) :- reach(?X), edge(?X, ?L, ?Y). \
+     lab(?L) :- reach(?X), edge(?X, ?L, ?Y), not root(?X)."
+  in
+  let query ?max_steps () =
+    let opts =
+      match max_steps with
+      | Some n -> Printf.sprintf "lang=datalog,max-steps=%d" n
+      | None -> "lang=datalog"
+    in
+    Engine.handle_line e (Printf.sprintf "QUERY %s %s" opts prog)
+  in
+  let expect_builds what n =
+    Alcotest.(check int) what n (Metrics.value builds - b0)
+  in
+  ignore (Engine.handle_line e ("QUERY - " ^ q_titles));
+  ignore (Engine.handle_line e "QUERY lang=lorel select X from DB.entry.movie X");
+  ignore (Engine.handle_line e {|UPDATE - insert DB.entry := {movie: {title: "U"}}|});
+  ignore (Engine.handle_line e ("QUERY - " ^ q_titles));
+  expect_builds "UnQL/Lorel/UPDATE traffic builds no base" 0;
+  Trace.enable ();
+  let answers, base_spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.disable ();
+        Trace.clear ())
+      (fun () ->
+        Trace.clear ();
+        let answers = List.init 5 (fun _ -> query ()) in
+        ( answers,
+          List.fold_left (fun n sp -> n + count_spans "datalog.base" sp) 0 (Trace.spans ()) ))
+  in
+  expect_builds "five datalog QUERYs on one version: one build" 1;
+  Alcotest.(check int) "one datalog.base span" 1 base_spans;
+  let before = datalog_cli_frame ~db:(Engine.store_db store) prog in
+  List.iter (fun a -> Alcotest.(check string) "answer = CLI" before a) answers;
+  ignore (Engine.handle_line e {|UPDATE - insert DB.entry := {movie: {title: "V"}}|});
+  let after = query () in
+  expect_builds "the new version builds its own" 2;
+  Alcotest.(check string) "post-update answer = CLI on the new graph"
+    (datalog_cli_frame ~db:(Engine.store_db store) prog)
+    after;
+  check "and is not the old version's" true (not (String.equal before after));
+  let partials =
+    List.filter
+      (fun n ->
+        let got = query ~max_steps:n () in
+        Alcotest.(check string)
+          (Printf.sprintf "max-steps=%d frame = CLI" n)
+          (datalog_cli_frame ~max_steps:n ~db:(Engine.store_db store) prog)
+          got;
+        (parse_one got).Proto.status = Proto.Partial)
+      [ 1; 3; 10; 30; 100; 100_000 ]
+  in
+  check "some budgets end partial" true (partials <> []);
+  expect_builds "budgeted QUERYs reuse the version's base" 2
 
 let queued_backlog_sheds () =
   let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in
@@ -496,6 +578,8 @@ let tests =
         errors_count_every_error_frame;
       Alcotest.test_case "one lang.compile per QUERY and SUBSCRIBE" `Quick
         one_compile_per_request;
+      Alcotest.test_case "datalog: one frozen EDB per snapshot version" `Quick
+        datalog_base_per_version;
       Alcotest.test_case "transport backlog drives shedding" `Quick queued_backlog_sheds;
       Alcotest.test_case "STATS and QUIT" `Quick quit_and_stats;
     ]
