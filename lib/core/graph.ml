@@ -152,13 +152,22 @@ let eps_closure g u =
   in
   go u []
 
+let has_eps g u = Array.exists (function Eps, _ -> true | Lab _, _ -> false) g.out.(u)
+
+let fold_succ f init g u = Array.fold_left (fun acc (l, v) -> f acc l v) init g.out.(u)
+
 let labeled_succ g u =
-  let closure = eps_closure g u in
-  List.concat_map
-    (fun w ->
-      Array.to_list g.out.(w)
-      |> List.filter_map (fun (l, v) -> match l with Lab l -> Some (l, v) | Eps -> None))
-    closure
+  if not (has_eps g u) then
+    (* An ε-free row is its own closure: skip the visited table. *)
+    Array.fold_right
+      (fun (l, v) acc -> match l with Lab l -> (l, v) :: acc | Eps -> acc)
+      g.out.(u) []
+  else
+    List.concat_map
+      (fun w ->
+        Array.to_list g.out.(w)
+        |> List.filter_map (fun (l, v) -> match l with Lab l -> Some (l, v) | Eps -> None))
+      (eps_closure g u)
 
 let fold_edges f init g =
   let acc = ref init in

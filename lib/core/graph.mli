@@ -80,8 +80,16 @@ val n_edges : t -> int
 (** Outgoing edges of a node, ε-edges included. *)
 val succ : t -> int -> (edge_label * int) list
 
+(** [fold_succ f init g u] folds [f] over [u]'s outgoing edges in order,
+    ε-edges included, without building a list. *)
+val fold_succ : ('a -> edge_label -> int -> 'a) -> 'a -> t -> int -> 'a
+
+(** Does the node have an outgoing ε-edge? *)
+val has_eps : t -> int -> bool
+
 (** Outgoing labeled edges after ε-closure: the edges of the tree denoted
-    by the node. *)
+    by the node.  A node without ε-edges answers with its own labeled
+    edges, in order, without computing a closure. *)
 val labeled_succ : t -> int -> (Label.t * int) list
 
 (** ε-closure of a node (includes the node itself). *)

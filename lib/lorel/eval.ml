@@ -154,6 +154,62 @@ let rec eval_cond ~db ~env = function
   | Not c -> not (eval_cond ~db ~env c)
 
 (* ------------------------------------------------------------------ *)
+(* Where placement                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let rec conjuncts = function
+  | And (c1, c2) -> conjuncts c1 @ conjuncts c2
+  | c -> [ c ]
+
+let path_vars p acc = match p.start with Some x -> x :: acc | None -> acc
+
+let rec cond_vars c acc =
+  match c with
+  | Cmp (_, o1, o2) ->
+    let operand acc = function Opath p -> path_vars p acc | Olit _ -> acc in
+    operand (operand acc o1) o2
+  | Exists p -> path_vars p acc
+  | And (c1, c2) | Or (c1, c2) -> cond_vars c1 (cond_vars c2 acc)
+  | Not c -> cond_vars c acc
+
+(* [placement q] pairs each [where] conjunct, left to right, with the
+   number of [from] ranges after which it is applied (0: before the
+   first).  A conjunct goes right after the last range binding any of
+   its variables: from there on those variables keep their final (last)
+   binding, so it keeps every row it would keep at the end, in the same
+   order.  It stays at the end when some variable is bound by no range,
+   and so does every conjunct after it: at the end it sees exactly the
+   rows the conjuncts to its left let through, and raises SSD401 as
+   before.  When some range starts from a variable no earlier range
+   binds, nothing moves: that range raises SSD401, and filtering first
+   could empty the rows and skip it. *)
+let placement q =
+  let n_ranges = List.length q.from in
+  let conjs = match q.where with None -> [] | Some c -> conjuncts c in
+  let ranges = List.mapi (fun i (p, x) -> (i + 1, p, x)) q.from in
+  let last_binding x =
+    List.fold_left (fun acc (i, _, y) -> if y = x then Some i else acc) None ranges
+  in
+  let well_ranged =
+    List.for_all
+      (fun (i, p, _) ->
+        match p.start with
+        | None -> true
+        | Some x -> List.exists (fun (j, _, y) -> j < i && y = x) ranges)
+      ranges
+  in
+  let rec place = function
+    | [] -> []
+    | c :: rest -> (
+      let bindings = List.map last_binding (cond_vars c []) in
+      if List.mem None bindings then List.map (fun c -> (n_ranges, c)) (c :: rest)
+      else
+        let at = List.fold_left (fun acc b -> max acc (Option.get b)) 0 bindings in
+        (at, c) :: place rest)
+  in
+  if well_ranged then place conjs else List.map (fun c -> (n_ranges, c)) conjs
+
+(* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -168,6 +224,46 @@ let item_label item =
       | Some x -> Label.Sym x
       | None -> Label.Sym "item"))
 
+(* The result graph: a root with one [row] edge per row, each row's
+   items pointing at the original objects, and the part of [db] those
+   objects reach.  The reached db nodes are numbered in ascending db id
+   after the root and the rows come after them — the numbering
+   [Graph.gc] gives a root-then-db-then-rows copy, without the copy. *)
+let build_result ~db rows =
+  let ids = Hashtbl.create 64 in
+  let rec mark u =
+    if not (Hashtbl.mem ids u) then begin
+      Hashtbl.add ids u (-1);
+      Graph.fold_succ (fun () _ v -> mark v) () db u
+    end
+  in
+  List.iter (List.iter (fun (_, n) -> mark n)) rows;
+  let live = Array.of_seq (Hashtbl.to_seq_keys ids) in
+  Array.sort compare live;
+  let b = Graph.Builder.create () in
+  let result_root = Graph.Builder.add_node b in
+  Graph.Builder.set_root b result_root;
+  Array.iter (fun u -> Hashtbl.replace ids u (Graph.Builder.add_node b)) live;
+  Array.iter
+    (fun u ->
+      let u' = Hashtbl.find ids u in
+      Graph.fold_succ
+        (fun () l v ->
+          let v' = Hashtbl.find ids v in
+          match l with
+          | Graph.Eps -> Graph.Builder.add_eps b u' v'
+          | Graph.Lab l -> Graph.Builder.add_edge b u' l v')
+        () db u)
+    live;
+  let row_sym = Label.Sym "row" in
+  List.iter
+    (fun items ->
+      let row = Graph.Builder.add_node b in
+      Graph.Builder.add_edge b result_root row_sym row;
+      List.iter (fun (lbl, n) -> Graph.Builder.add_edge b row lbl (Hashtbl.find ids n)) items)
+    rows;
+  Graph.Builder.finish b
+
 let eval ?budget ~db q =
   Metrics.incr m_queries;
   Metrics.time t_eval @@ fun () ->
@@ -178,42 +274,36 @@ let eval ?budget ~db q =
      unbudgeted evaluation would emit for that binding. *)
   let envs =
     Trace.with_span "lorel.from" @@ fun () ->
-    List.fold_left
-      (fun envs (p, x) ->
-        List.concat_map
-          (fun env -> List.map (fun n -> (x, n) :: env) (eval_path ?budget ~db ~env p))
-          envs)
-      [ [] ] q.from
-  in
-  let envs =
-    match q.where with
-    | None -> envs
-    | Some c ->
-      Trace.with_span "lorel.where" @@ fun () ->
-      List.filter (fun env -> eval_cond ~db ~env c) envs
+    let placed = placement q in
+    let filter i envs =
+      match List.filter_map (fun (at, c) -> if at = i then Some c else None) placed with
+      | [] -> envs
+      | cs -> List.filter (fun env -> List.for_all (eval_cond ~db ~env) cs) envs
+    in
+    snd
+      (List.fold_left
+         (fun (i, envs) (p, x) ->
+           let envs =
+             List.concat_map
+               (fun env -> List.map (fun n -> (x, n) :: env) (eval_path ?budget ~db ~env p))
+               envs
+           in
+           (i + 1, filter (i + 1) envs))
+         (0, filter 0 [ [] ])
+         q.from)
   in
   Metrics.add m_rows (List.length envs);
   Trace.annotate "rows" (Trace.Int (List.length envs));
   Trace.with_span "lorel.select" @@ fun () ->
-  let b = Graph.Builder.create () in
-  let result_root = Graph.Builder.add_node b in
-  Graph.Builder.set_root b result_root;
-  let db_root = Graph.import_into b db in
-  let offset = db_root - Graph.root db in
-  let row_sym = Label.Sym "row" in
-  List.iter
-    (fun env ->
-      let row = Graph.Builder.add_node b in
-      Graph.Builder.add_edge b result_root row_sym row;
-      List.iter
-        (fun item ->
-          let lbl = item_label item in
-          List.iter
-            (fun n -> Graph.Builder.add_edge b row lbl (n + offset))
-            (eval_path ~db ~env item.item))
-        q.select)
-    envs;
-  Graph.gc (Graph.Builder.finish b)
+  build_result ~db
+    (List.map
+       (fun env ->
+         List.concat_map
+           (fun item ->
+             let lbl = item_label item in
+             List.map (fun n -> (lbl, n)) (eval_path ~db ~env item.item))
+           q.select)
+       envs)
 
 let eval_outcome ~budget ~db q = Budget.wrap budget (eval ~budget ~db q)
 

@@ -21,14 +21,31 @@
     the static analyzer's report for the same defect. *)
 exception Runtime_error of Ssd_diag.t
 
-(** [eval ?budget ~db q] returns the result graph.  Note the result
-    shares no structure with [db] physically (it is re-rooted and gc'd)
-    but is bisimilar to the OEM sharing described above.
+(** [eval ?budget ~db q] returns the result graph.  It shares no
+    structure with [db] physically: it holds a fresh root, the part of
+    [db] the selected objects reach (copied from [db] in place, in
+    ascending [db] node order) and the rows — node for node what
+    garbage-collecting a re-rooted copy of all of [db] would leave, so
+    it keeps the OEM sharing described above.
+
+    {b Where placement.}  The [where] condition is split on [and] into
+    conjuncts, and each is applied as soon as the last [from] range
+    binding one of its variables has been enumerated (a closed conjunct
+    before the first range), so later ranges only expand rows that can
+    still survive.  Filtering keeps rows in order, so the answer is the
+    one a filter after full enumeration gives, row for row.  A conjunct
+    naming a variable no range binds stays at the end, as does every
+    conjunct after it; and when a range starts from a variable no
+    earlier range binds, no conjunct moves, so that range still raises
+    SSD401.
 
     A {!Ssd.Budget} is consumed by the [from] range generators only;
     [where] conditions and [select] item paths are always exact.  An
     exhausted budget therefore drops whole rows, never corrupts one: the
-    partial result's rows are a subset of the complete result's. *)
+    partial result's rows are a subset of the complete result's.
+    Because filtered rows are never expanded, a query with a [where] may
+    finish within a budget, or return more rows under it, than it would
+    if every range were enumerated first. *)
 val eval : ?budget:Ssd.Budget.t -> db:Ssd.Graph.t -> Ast.query -> Ssd.Graph.t
 
 (** [eval] plus the completeness verdict (see {!Ssd.Budget.outcome}). *)
@@ -48,6 +65,11 @@ val eval_path :
   env:(string * int) list ->
   Ast.path ->
   int list
+
+(** Does the condition hold for the given (variable, node) bindings?
+    Exposed for tests.
+    @raise Runtime_error (SSD401) on a path from an unbound variable. *)
+val eval_cond : db:Ssd.Graph.t -> env:(string * int) list -> Ast.cond -> bool
 
 (** Atomic values of an object: base labels of its leaf edges. *)
 val values_of : Ssd.Graph.t -> int -> Ssd.Label.t list

@@ -638,7 +638,8 @@ let eval ?(options = default_options) ?budget ~db q =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Metrics.time t_eval (fun () ->
       Trace.with_span "unql.eval" (fun () ->
-          let st = Store.create () in
+          (* The store reads [db] in place: the import only names its root. *)
+          let st = Store.create ~base:db () in
           let db_node =
             Trace.with_span "unql.eval.import" (fun () -> Store.import st db)
           in

@@ -46,6 +46,27 @@ let graph : Graph.t Q.t =
      List.iter (fun (u, l, v) -> Graph.Builder.add_edge b u l v) edges;
      Graph.gc (Graph.Builder.finish b))
 
+(* Like [graph], plus up to [n] random ε-edges (self-loops and ε-cycles
+   included). *)
+let eps_graph : Graph.t Q.t =
+  let open Q in
+  let* n = int_range 1 12 in
+  let* spine = list_repeat (n - 1) label in
+  let* extra = int_range 0 (2 * n) in
+  let* edges = list_repeat extra (triple (int_range 0 (n - 1)) label (int_range 0 (n - 1))) in
+  let* n_eps = int_range 0 n in
+  let* eps = list_repeat n_eps (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) in
+  pure
+    (let b = Graph.Builder.create () in
+     for _ = 1 to n do
+       ignore (Graph.Builder.add_node b)
+     done;
+     Graph.Builder.set_root b 0;
+     List.iteri (fun i l -> Graph.Builder.add_edge b i l (i + 1)) spine;
+     List.iter (fun (u, l, v) -> Graph.Builder.add_edge b u l v) edges;
+     List.iter (fun (u, v) -> Graph.Builder.add_eps b u v) eps;
+     Graph.gc (Graph.Builder.finish b))
+
 (* Acyclic rooted graphs (DAGs): edges only point to higher ids. *)
 let dag : Graph.t Q.t =
   let open Q in

@@ -77,6 +77,8 @@ let lorel_partial_is_lower_bound =
       "select X.title from DB.entry.movie X";
       "select X.title from DB.entry.% X where exists X.cast";
       "select X from DB.entry.movie.cast.# X";
+      (* two ranges and a where: filtered as soon as X is bound *)
+      {|select X.title, A from DB.entry.% X, X.cast.# A where X.title like "a" and exists A.actors|};
     ]
   in
   qtest "lorel: partial result simulated by complete" ~count:60

@@ -75,8 +75,22 @@ let pp_cyclic_roundtrip () =
       "&a {go: &b {back: *a, fwd: *b}}";
     ]
 
+(* The tree-semantics definition of [labeled_succ]: the labeled edges of
+   every node in the ε-closure, in closure order. *)
+let labeled_succ_oracle g u =
+  List.concat_map
+    (fun w ->
+      List.filter_map
+        (fun (l, v) -> match l with Graph.Lab l -> Some (l, v) | Graph.Eps -> None)
+        (Graph.succ g w))
+    (Graph.eps_closure g u)
+
 let properties =
   [
+    qtest "labeled_succ = closure definition" (Q.oneof [ graph; eps_graph ]) (fun g ->
+        List.for_all
+          (fun u -> Graph.labeled_succ g u = labeled_succ_oracle g u)
+          (List.init (Graph.n_nodes g) Fun.id));
     qtest "of_tree/to_tree round-trip" tree (fun t ->
         Tree.equal t (Graph.to_tree (Graph.of_tree t)));
     qtest "union denotes tree union" (Q.pair tree tree) (fun (t1, t2) ->

@@ -347,6 +347,50 @@ let store_eps () =
   Unql.Store.add_edge st b (Label.sym "x") c;
   check_int "labeled_succ through eps" 1 (List.length (Unql.Store.labeled_succ st a))
 
+(* A store overlaid on [g] reads exactly what a store holding a copy of
+   [g] at offset 0 holds, before and after the same arena growth; and
+   the base is read-only.  [ops] adds arena nodes with edges from the
+   new nodes into the base and among themselves. *)
+let overlay_equals_copy =
+  let arena_op = Q.triple (Q.int_range 0 50) (Q.option (Q.map Label.sym small_symbol)) (Q.int_range 0 50) in
+  qtest "store overlay = imported copy" ~count:200
+    (Q.pair eps_graph (Q.pair (Q.int_range 1 4) (Q.list_size (Q.int_range 0 10) arena_op)))
+    (fun (g, (n_new, ops)) ->
+      let module S = Unql.Store in
+      let overlay = S.create ~base:g () in
+      let copy = S.create () in
+      let same_root = S.import overlay g = Graph.root g && S.import copy g = Graph.root g in
+      let grow st =
+        let fresh = List.init n_new (fun _ -> S.add_node st) in
+        let n = S.n_nodes st in
+        List.iter
+          (fun (i, l, j) ->
+            let u = List.nth fresh (i mod n_new) and v = j mod n in
+            match l with Some l -> S.add_edge st u l v | None -> S.add_eps st u v)
+          ops;
+        List.hd fresh
+      in
+      let reads_agree () =
+        S.n_nodes overlay = S.n_nodes copy
+        && List.for_all
+             (fun u ->
+               S.succ overlay u = S.succ copy u && S.labeled_succ overlay u = S.labeled_succ copy u)
+             (List.init (S.n_nodes copy) Fun.id)
+      in
+      let before = reads_agree () in
+      let r1 = grow overlay and r2 = grow copy in
+      let after = reads_agree () in
+      let g1 = S.to_graph overlay ~root:r1 and g2 = S.to_graph copy ~root:r2 in
+      let base_read_only =
+        match S.add_edge overlay (Graph.root g) (Label.sym "x") r1 with
+        | exception Invalid_argument _ -> true
+        | () -> false
+      in
+      same_root && before && after && r1 = r2
+      && Graph.to_string g1 = Graph.to_string g2
+      && Graph.n_nodes g1 = Graph.n_nodes g2
+      && base_read_only)
+
 let tests =
   [
     Alcotest.test_case "constructors" `Quick constructors;
@@ -377,3 +421,4 @@ let tests =
     Alcotest.test_case "store eps" `Quick store_eps;
   ]
   @ sfun_agrees_with_direct
+  @ [ overlay_equals_copy ]
