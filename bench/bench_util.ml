@@ -42,14 +42,37 @@ let record name v =
     cell := (fresh 1, v) :: !cell
   end
 
+(* The experiments already in [path]: [] if there is no such file; a
+   file that is not a version-1 bench record is an error, never
+   overwritten. *)
+let existing_experiments path =
+  let module J = Ssd.Json in
+  if not (Sys.file_exists path) then []
+  else
+    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | J.Obj kvs when List.assoc_opt "version" kvs = Some (J.Int bench_version) -> (
+      match List.assoc_opt "experiments" kvs with
+      | Some (J.Obj exps) -> exps
+      | _ -> failwith (path ^ ": no \"experiments\" object"))
+    | _ | (exception J.Parse_error _) ->
+      failwith (Printf.sprintf "%s: not a version-%d bench record" path bench_version)
+
+(* Merges this run into [path]: an experiment run now replaces its old
+   entries in place, new ones are appended, the rest are kept — so
+   running one experiment never drops the others' records. *)
 let write_bench_json path =
   let module J = Ssd.Json in
-  let experiments =
+  let fresh =
     List.rev_map
       (fun name ->
         let cell = Hashtbl.find recorded name in
         (name, J.Obj (List.rev_map (fun (k, v) -> (k, J.Float v)) !cell)))
       !experiment_order
+  in
+  let old = existing_experiments path in
+  let experiments =
+    List.map (fun (name, v) -> (name, Option.value ~default:v (List.assoc_opt name fresh))) old
+    @ List.filter (fun (name, _) -> not (List.mem_assoc name old)) fresh
   in
   let doc =
     J.Obj [ ("version", J.Int bench_version); ("experiments", J.Obj experiments) ]
@@ -58,7 +81,8 @@ let write_bench_json path =
   output_string oc (J.to_string doc);
   output_char oc '\n';
   close_out oc;
-  Printf.printf "\nwrote %s (%d experiments)\n" path (List.length experiments)
+  Printf.printf "\nwrote %s (%d experiments, %d from this run)\n" path
+    (List.length experiments) (List.length fresh)
 
 (* [measure cases] runs each (name, thunk) under bechamel's monotonic
    clock and returns (name, ns/run) in input order.  Each estimate is

@@ -159,17 +159,15 @@ let e3 () =
         let semi = Relstore.Datalog.query ~edb program "answer" in
         let direct = Ssd_automata.Product.accepting_nodes g nfa in
         assert (List.length semi = List.length direct);
-        (* the server's path: a frozen EDB built once, shared by queries *)
-        let base = Relstore.Datalog.base_of_edb edb in
-        assert (Relstore.Datalog.eval_base base program = Relstore.Datalog.eval ~edb program);
+        (* the EDB is built once and shared by every evaluation; its
+           one-off build cost is its own column *)
         let timings =
           measure ~quota:0.4
             [
               ("datalog-semi-naive", fun () -> ignore (Relstore.Datalog.eval ~edb program));
-              ( "datalog-shared-base",
-                fun () -> ignore (Relstore.Datalog.eval_base base program) );
               ("datalog-naive", fun () -> ignore (Relstore.Datalog.eval_naive ~edb program));
               ("direct-product", fun () -> ignore (Ssd_automata.Product.accepting_nodes g nfa));
+              ("triple-edb-build", fun () -> ignore (Relstore.Triple.edb g));
             ]
         in
         let t name = List.assoc name timings in
@@ -178,14 +176,14 @@ let e3 () =
           string_of_int (List.length semi);
           ns_to_string (t "datalog-naive");
           ns_to_string (t "datalog-semi-naive");
-          ns_to_string (t "datalog-shared-base");
           ns_to_string (t "direct-product");
+          ns_to_string (t "triple-edb-build");
           Printf.sprintf "%.1fx" (t "datalog-naive" /. t "datalog-semi-naive");
         ])
       sizes
   in
-  print_table ~title:"taxonomy descendants, three strategies (+ semi-naive on a shared base)"
-    ~header:[ "taxa"; "answers"; "naive"; "semi-naive"; "shared-base"; "product"; "naive/semi" ]
+  print_table ~title:"taxonomy descendants, three strategies over one shared EDB (+ its build)"
+    ~header:[ "taxa"; "answers"; "naive"; "semi-naive"; "product"; "edb-build"; "naive/semi" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1051,7 +1049,9 @@ let e17 () =
   let edges =
     Graph.fold_labeled_edges (fun acc s _ d -> [ Label.int s; Label.int d ] :: acc) [] web
   in
-  let edb = [ ("e", edges); ("start", [ [ Label.int (Graph.root web) ] ]) ] in
+  let edb =
+    Relstore.Datalog.edb_of_list [ ("e", edges); ("start", [ [ Label.int (Graph.root web) ] ]) ]
+  in
   let datalog_p =
     Relstore.Datalog.parse
       {| reach(?X) :- start(?X).  reach(?Y) :- reach(?X), e(?X, ?Y). |}

@@ -22,7 +22,7 @@ type 'a outcome =
    exactly [max_steps] grants, [steps_used] counting grants. *)
 type t = {
   max_steps : int;
-  deadline : float; (* Sys.time seconds; infinity = no deadline *)
+  deadline : float; (* monotonic clock ns; infinity = no deadline *)
   steps : int Atomic.t;
   stopped : exhaustion option Atomic.t;
   mutable exempt_depth : int; (* coordinator-domain only; see .mli *)
@@ -37,11 +37,15 @@ let unlimited () =
     exempt_depth = 0;
   }
 
+(* CLOCK_MONOTONIC, not [Sys.time]: process CPU time is summed over all
+   domains and stands still while a request blocks. *)
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
+
 let create ?deadline_ms ?max_steps () =
   let deadline =
     match deadline_ms with
     | None -> infinity
-    | Some ms -> Sys.time () +. (ms /. 1000.)
+    | Some ms -> now_ns () +. (ms *. 1e6)
   in
   {
     max_steps = Option.value ~default:max_int max_steps;
@@ -69,7 +73,7 @@ let step t =
         let s = Atomic.fetch_and_add t.steps 1 + 1 in
         (* The clock is only read every 128 steps: a deadline costs one
            [land] per step, not a syscall. *)
-        if t.deadline < infinity && s land 127 = 0 && Sys.time () > t.deadline
+        if t.deadline < infinity && s land 127 = 0 && now_ns () > t.deadline
         then begin
           trip t Deadline;
           false

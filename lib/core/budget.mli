@@ -39,8 +39,9 @@ type t
 val unlimited : unit -> t
 
 (** [create ?deadline_ms ?max_steps ()] exhausts after [max_steps] units
-    of generator work or once [deadline_ms] milliseconds of processor
-    time have elapsed (checked every 128 steps), whichever comes first. *)
+    of generator work or once [deadline_ms] milliseconds of wall-clock
+    time (the monotonic clock) have elapsed (checked every 128 steps),
+    whichever comes first. *)
 val create : ?deadline_ms:float -> ?max_steps:int -> unit -> t
 
 (** Consume one step.  [false] means the budget is exhausted and the

@@ -133,11 +133,8 @@ let eval ?budget ?edb ~db c =
   | Lorel (q, _), Some budget -> Budget.map graph (Lorel.Eval.eval_outcome ~budget ~db q)
   | Lorel (q, _), None -> Budget.Complete (Graph (Lorel.Eval.eval ~db q))
   | Datalog program, _ -> (
-    let tuples =
-      match edb with
-      | Some base -> Relstore.Datalog.eval_base ?budget (base ()) program
-      | None -> Relstore.Datalog.eval ?budget ~edb:(Relstore.Triple.edb db) program
-    in
+    let edb = match edb with Some edb -> edb () | None -> Relstore.Triple.edb db in
+    let tuples = Relstore.Datalog.eval ?budget ~edb program in
     match budget with
     | Some budget -> Budget.map (fun r -> Tuples r) (Budget.wrap budget tuples)
     | None -> Budget.Complete (Tuples tuples))

@@ -89,12 +89,12 @@ type result =
   | Relation of Relstore.Relation.t (** WebSQL *)
 
 (** Evaluates under [budget] when given; WebSQL ignores it.  A datalog
-    program reads the frozen EDB [edb ()] when given — which must be
-    built from [db]'s {!Relstore.Triple.edb} — and otherwise loads
-    [db]'s triples afresh.  [edb] is called for datalog only. *)
+    program reads the EDB [edb ()], which must be [db]'s
+    {!Relstore.Triple.edb} (the default builds it).  [edb] is called for
+    datalog only. *)
 val eval :
   ?budget:Ssd.Budget.t ->
-  ?edb:(unit -> Relstore.Datalog.base) ->
+  ?edb:(unit -> Relstore.Datalog.edb) ->
   db:Ssd.Graph.t ->
   compiled ->
   result Ssd.Budget.outcome

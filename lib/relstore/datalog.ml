@@ -59,8 +59,6 @@ let () =
     | Not_stratified d -> Some ("Datalog.Not_stratified: " ^ Ssd_diag.to_string d)
     | _ -> None)
 
-type edb = (string * Label.t list list) list
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -445,17 +443,17 @@ let set_probe s ~pos ~value =
 
 let set_size s = Hashtbl.length s.table
 
-(* A frozen relation: one extensional predicate of a shared {!base},
-   immutable once built, so concurrent evaluations (and the chunked
-   parallel firing) read it without locks.  Row [i] of the relation is
-   [cols.(0).(i)], [cols.(1).(i)], ...; rows are numbered in the order
-   [set_to_list] lists the mutable set [facts_of_edb] would have built
-   from the same tuples, and [probe.(pos)] maps a value to its rows in
-   [set_probe] order, so a scan or a probe enumerates exactly what the
-   mutable set would have, in the same order.  There is no tuple table:
-   membership probes position 0.  [order] holds the row ids in
-   first-insertion order, from which a private mutable copy rebuilds the
-   very set [facts_of_edb] would have made. *)
+(* A frozen relation: one extensional predicate of an {!edb}, immutable
+   once built, so concurrent evaluations (and the chunked parallel
+   firing) read it without locks.  Row [i] of the relation is
+   [cols.(0).(i)], [cols.(1).(i)], ...  The row-order rule: rows are
+   numbered in the order [set_to_list] lists a mutable set into which
+   the same tuples were inserted in EDB order, and [probe.(pos)] maps a
+   value to its rows in that set's [set_probe] order, so a scan or a
+   probe enumerates exactly what the set would, in the same order.
+   There is no tuple table: membership probes position 0.  [order]
+   holds the row ids in first-insertion order, from which [set_of_rel]
+   rebuilds that very set. *)
 type rel = {
   n_rows : int;
   arity : int; (* -1: mixed arities, see [arities] *)
@@ -465,13 +463,15 @@ type rel = {
   order : int array;
 }
 
-type base = (string, rel) Hashtbl.t
+type edb = (string, rel) Hashtbl.t
 
 (* A relation as the evaluator reads it: a mutable set (IDB predicates,
-   deltas, one-shot EDBs) or a frozen base relation. *)
+   deltas, private copies), a frozen EDB relation, or a frozen relation
+   plus the tuples {!Incremental.advance} inserted since. *)
 type view =
   | Mut of tuple_set
   | Frozen of rel
+  | Grown of rel * tuple_set
 
 let row_arity r i = if r.arity >= 0 then r.arity else r.arities.(i)
 
@@ -500,6 +500,7 @@ let view_mem view tuple =
   match view with
   | Mut s -> set_mem s tuple
   | Frozen r -> rel_mem r tuple
+  | Grown (r, s) -> rel_mem r tuple || set_mem s tuple
 
 let eval_term env = function
   | Const l -> l
@@ -569,8 +570,8 @@ let bound_position env args =
 
 (* Calls [k] with every extension of [env] matching [args] against a
    tuple of [view]: a probe of the first bound position's index, else a
-   scan, in the same order for both kinds of view. *)
-let iter_matches view env args k =
+   scan, in the same order for every kind of view. *)
+let rec iter_matches view env args k =
   match view with
   | Mut s ->
     let candidates =
@@ -589,6 +590,9 @@ let iter_matches view env args k =
       for i = 0 to r.n_rows - 1 do
         visit i
       done)
+  | Grown (r, s) ->
+    iter_matches (Frozen r) env args k;
+    iter_matches (Mut s) env args k
 
 (* Evaluate the body left-to-right over environments.  [set_of] maps a
    predicate to its current view; the positive literal at index
@@ -673,14 +677,6 @@ let facts_set facts p =
     Hashtbl.add facts p s;
     s
 
-let facts_of_edb edb =
-  let facts : (string, tuple_set) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (p, tuples) -> List.iter (set_add (facts_set facts p)) tuples) edb;
-  facts
-
-(* The views of a fact table holding every predicate as a mutable set. *)
-let mut_views facts p = Mut (facts_get facts p)
-
 (* Freeze one predicate's tuples ([chunks], in EDB order, duplicates
    allowed).  Inserting the distinct tuples into a table of the mutable
    sets' initial size reproduces a mutable set's bucket layout, so
@@ -749,7 +745,7 @@ let freeze ints chunks =
   in
   { n_rows = n; arity; arities; cols; probe; order }
 
-let base_of_edb edb =
+let edb_of_list edb =
   let chunks = Hashtbl.create 8 and preds = ref [] in
   List.iter
     (fun (p, tuples) ->
@@ -760,18 +756,47 @@ let base_of_edb edb =
         preds := p :: !preds)
     edb;
   let ints = Hashtbl.create 1024 in
-  let base = Hashtbl.create 8 in
+  let edb = Hashtbl.create 8 in
   List.iter
-    (fun p -> Hashtbl.add base p (freeze ints (List.rev !(Hashtbl.find chunks p))))
+    (fun p -> Hashtbl.add edb p (freeze ints (List.rev !(Hashtbl.find chunks p))))
     (List.rev !preds);
-  base
+  edb
 
-(* The mutable set [facts_of_edb] would have built for [r]: its distinct
-   tuples re-inserted in their original order. *)
+(* [r] as a mutable set: its distinct tuples re-inserted in their
+   original order. *)
 let set_of_rel r =
   let s = set_create () in
   Array.iter (fun row -> set_add s (row_to_list r row)) r.order;
   s
+
+(* A fact table for [program] over [edb]: a rule whose head names an EDB
+   predicate adds to it, so that predicate gets a private mutable copy
+   and [edb] itself is never written. *)
+let private_copies edb program =
+  let facts = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      let p = r.head.pred in
+      match Hashtbl.find_opt edb p with
+      | Some rel when not (Hashtbl.mem facts p) -> Hashtbl.add facts p (set_of_rel rel)
+      | _ -> ())
+    program;
+  facts
+
+(* How the evaluator reads [p]: its mutable set in [facts] if it has
+   one, else the EDB relation read in place, grown by the tuples in
+   [added]. *)
+let view_of edb facts added p =
+  match Hashtbl.find_opt facts p with
+  | Some s -> Mut s
+  | None -> (
+    match (Hashtbl.find_opt edb p, Hashtbl.find_opt added p) with
+    | Some r, None -> Frozen r
+    | Some r, Some s -> Grown (r, s)
+    | None, Some s -> Mut s
+    | None, None -> Mut empty_set)
+
+let nothing_added : (string, tuple_set) Hashtbl.t = Hashtbl.create 1
 
 let idb_result program facts =
   let idb = List.map (fun r -> r.head.pred) program |> List.sort_uniq String.compare in
@@ -787,8 +812,10 @@ let eval_naive ~edb program =
   check_safety program;
   Metrics.incr m_evals;
   Metrics.time t_eval @@ fun () ->
-  let facts = facts_of_edb edb in
-  let set_of = mut_views facts in
+  (* reads mutable copies only, independent of the frozen join path *)
+  let facts = Hashtbl.create 16 in
+  Hashtbl.iter (fun p r -> Hashtbl.add facts p (set_of_rel r)) edb;
+  let set_of p = Mut (facts_get facts p) in
   List.iter
     (fun rules ->
       let changed = ref true in
@@ -821,15 +848,15 @@ exception Out_of_budget
 
 let check_budget b = if not (Budget.step b) then raise Out_of_budget
 
-(* The stratified semi-naive fixpoint over the fact table and views
-   [setup] returns (built inside the timer and span). *)
-let eval_from ?budget program setup =
+(* The stratified semi-naive fixpoint, reading [edb] in place. *)
+let eval ?budget ~edb program =
   check_safety program;
   Metrics.incr m_evals;
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Metrics.time t_eval @@ fun () ->
   Trace.with_span "datalog.eval" @@ fun () ->
-  let facts, set_of = setup () in
+  let facts = private_copies edb program in
+  let set_of = view_of edb facts nothing_added in
   (try
      List.iteri
        (fun stratum rules ->
@@ -908,31 +935,6 @@ let eval_from ?budget program setup =
    with Out_of_budget -> ());
   idb_result program facts
 
-let eval ?budget ~edb program =
-  eval_from ?budget program (fun () ->
-      let facts = facts_of_edb edb in
-      (facts, mut_views facts))
-
-(* A rule whose head names a base predicate adds to it: that predicate
-   gets a private mutable copy, and the shared base is never written. *)
-let eval_base ?budget base program =
-  eval_from ?budget program (fun () ->
-      let facts = Hashtbl.create 16 in
-      List.iter
-        (fun r ->
-          let p = r.head.pred in
-          match Hashtbl.find_opt base p with
-          | Some rel when not (Hashtbl.mem facts p) -> Hashtbl.add facts p (set_of_rel rel)
-          | _ -> ())
-        program;
-      let set_of p =
-        match Hashtbl.find_opt facts p with
-        | Some s -> Mut s
-        | None -> (
-          match Hashtbl.find_opt base p with Some r -> Frozen r | None -> Mut empty_set)
-      in
-      (facts, set_of))
-
 let eval_outcome ~budget ~edb program = Budget.wrap budget (eval ~budget ~edb program)
 
 let query ~edb program pred =
@@ -945,15 +947,18 @@ let query ~edb program pred =
 (* ------------------------------------------------------------------ *)
 
 module Incremental = struct
-  (* A retained model: the full fact table of a completed evaluation,
-     advanced in place when new EDB facts arrive.  Insertion-only and
-     negation-free: a negation-free program is monotone in its EDB, so
-     the delta rounds below compute exactly the new least model minus
-     the old one — the same rounds [eval] runs, just seeded from the
-     inserted facts instead of from scratch. *)
+  (* A retained model: the fact table of a completed evaluation over an
+     EDB held by reference, advanced in place when new EDB facts arrive.
+     Inserted EDB tuples go to [added], never into the shared EDB.
+     Insertion-only and negation-free: a negation-free program is
+     monotone in its EDB, so the delta rounds below compute exactly the
+     new least model minus the old one — the same rounds [eval] runs,
+     just seeded from the inserted facts instead of from scratch. *)
   type state = {
     program : program;
+    edb : edb;
     facts : (string, tuple_set) Hashtbl.t;
+    added : (string, tuple_set) Hashtbl.t;
   }
 
   let m_advances = Metrics.counter "incr.datalog.advances"
@@ -970,8 +975,8 @@ module Incremental = struct
     if not (supported program) then
       unsafe ~code:"SSD213"
         "incremental maintenance requires a negation-free program";
-    let facts = facts_of_edb edb in
-    let set_of = mut_views facts in
+    let facts = private_copies edb program in
+    let set_of = view_of edb facts nothing_added in
     (* Negation-free: one stratum; naive rounds to the fixpoint (the
        retained sets make later advances cheap, prepare itself is a
        one-off). *)
@@ -992,7 +997,7 @@ module Incremental = struct
             derived)
         program
     done;
-    { program; facts }
+    { program; edb; facts; added = Hashtbl.create 4 }
 
   let result st = idb_result st.program st.facts
 
@@ -1000,7 +1005,7 @@ module Incremental = struct
      returns the {e new} tuples per IDB predicate (possibly empty). *)
   let advance st ~edb_delta =
     Metrics.incr m_advances;
-    let set_of = mut_views st.facts in
+    let set_of = view_of st.edb st.facts st.added in
     let idb =
       List.map (fun r -> r.head.pred) st.program |> List.sort_uniq String.compare
     in
@@ -1018,10 +1023,11 @@ module Incremental = struct
     in
     List.iter
       (fun (p, tuples) ->
-        let s = facts_set st.facts p in
+        let s = facts_set (if List.mem p idb then st.facts else st.added) p in
+        let view = set_of p in
         List.iter
           (fun t ->
-            if not (set_mem s t) then begin
+            if not (view_mem view t) then begin
               set_add s t;
               set_add (delta_get p) t
             end)
@@ -1083,13 +1089,10 @@ end
    part of [eval]: derivation order — and thus tuple order — changes,
    which callers relying on byte-identical output must not see. *)
 let reorder ~edb program =
-  let edb_sizes = List.map (fun (p, tuples) -> (p, List.length tuples)) edb in
-  let default_size =
-    max 1 (List.fold_left (fun acc (_, n) -> acc + n) 0 edb_sizes)
-  in
+  let default_size = max 1 (Hashtbl.fold (fun _ r acc -> acc + r.n_rows) edb 0) in
   let size pred =
-    match List.assoc_opt pred edb_sizes with
-    | Some n -> n
+    match Hashtbl.find_opt edb pred with
+    | Some r -> r.n_rows
     | None -> default_size (* IDB: unknown until evaluated *)
   in
   let reorder_body body =

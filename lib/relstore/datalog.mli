@@ -65,12 +65,21 @@ val parse : string -> program
 val pp_rule : Format.formatter -> rule -> unit
 val pp_program : Format.formatter -> program -> unit
 
-(** An extensional database: predicate name to tuples. *)
-type edb = (string * Ssd.Label.t list list) list
+(** An extensional database: predicate name to tuples, frozen.  It is
+    immutable once built, read in place by every evaluation, safe to
+    share across concurrent evaluations and domains, and compact (column
+    arrays, one row-id array per position and value, [Int] labels
+    interned).  The server builds one per published snapshot. *)
+type edb
+
+(** [edb_of_list preds] freezes a literal EDB; a predicate listed twice
+    is the union of its entries.  {!Triple.edb} builds a graph's. *)
+val edb_of_list : (string * Ssd.Label.t list list) list -> edb
 
 (** [eval ?budget ~edb program] computes the least fixpoint (per stratum,
     semi-naive within strata) and returns all derived predicates with
-    their tuples.
+    their tuples.  A rule whose head names an [edb] predicate derives
+    into a private copy; [edb] itself is never modified.
 
     A {!Ssd.Budget} is consumed per rule firing and per derived tuple.
     On exhaustion the fixpoint stops and the facts accumulated so far are
@@ -87,36 +96,13 @@ val eval_outcome :
   program ->
   (string * Ssd.Label.t list list) list Ssd.Budget.outcome
 
-(** {2 A shared, frozen EDB}
-
-    {!eval} loads its [edb] into hash-indexed tuple sets on every call;
-    for a large graph that load costs more than most joins over it.  A
-    {!base} is that load done once: read-only, safe to share across
-    concurrent evaluations and domains, and compact (column arrays, one
-    row-id array per position and value, [Int] labels interned).  The
-    server builds one per published snapshot. *)
-
-(** An immutable, indexed extensional database. *)
-type base
-
-(** [base_of_edb edb] freezes [edb] (typically {!Triple.edb}); a
-    predicate listed twice is the union of its entries, as in {!eval}. *)
-val base_of_edb : edb -> base
-
-(** [eval_base ?budget base program] is [eval ?budget ~edb program] for
-    the [edb] [base] was built from — the same tuples in the same order,
-    and the same budget consumption.  A rule whose head names a base
-    predicate derives into a private copy; [base] itself is never
-    modified. *)
-val eval_base :
-  ?budget:Ssd.Budget.t -> base -> program -> (string * Ssd.Label.t list list) list
-
 (** [query ~edb program pred] is the tuple set of one predicate (empty if
     never derived). *)
 val query : edb:edb -> program -> string -> Ssd.Label.t list list
 
 (** Naive (full re-derivation) fixpoint — the reference implementation the
-    tests compare {!eval} against. *)
+    tests compare {!eval} against.  It copies [edb] into mutable sets
+    first, so it shares no join path with {!eval}. *)
 val eval_naive : edb:edb -> program -> (string * Ssd.Label.t list list) list
 
 (** Number of strata the program splits into. *)
@@ -138,7 +124,8 @@ module Incremental : sig
       single tuple, monotonically). *)
   val supported : program -> bool
 
-  (** Evaluate [program] over [edb] and retain the full model.
+  (** Evaluate [program] over [edb] and retain the full model.  The state
+      reads [edb] in place and keeps it by reference, never modified.
       @raise Unsafe on safety violations, or (code SSD213) if the
       program is not {!supported}. *)
   val prepare : edb:edb -> program -> state
@@ -147,13 +134,16 @@ module Incremental : sig
       return them (tuple order may differ; content is equal). *)
   val result : state -> (string * Ssd.Label.t list list) list
 
-  (** [advance st ~edb_delta] inserts the given extensional tuples
-      (already-present tuples are ignored) and runs semi-naive delta
-      rounds from them.  Returns the {e newly derived} tuples per IDB
+  (** [advance st ~edb_delta] inserts the given extensional tuples into
+      the state (already-present tuples are ignored; the prepared [edb]
+      is unchanged) and runs semi-naive delta rounds from them.  Returns the {e newly derived} tuples per IDB
       predicate — exactly the difference between the new and old least
       models, since negation-free programs are monotone.  Empty list:
       the update provably changed no derived fact. *)
-  val advance : state -> edb_delta:edb -> (string * Ssd.Label.t list list) list
+  val advance :
+    state ->
+    edb_delta:(string * Ssd.Label.t list list) list ->
+    (string * Ssd.Label.t list list) list
 end
 
 (** [reorder ~edb program] — statistics-driven join ordering, applied per

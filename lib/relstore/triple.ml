@@ -55,4 +55,4 @@ let edb g =
       (fun acc u l v -> [ Label.Int u; l; Label.Int v ] :: acc)
       [] g
   in
-  [ ("edge", triples); ("root", [ [ Label.Int (Graph.root g) ] ]) ]
+  Datalog.edb_of_list [ ("edge", triples); ("root", [ [ Label.Int (Graph.root g) ] ]) ]

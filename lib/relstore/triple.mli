@@ -29,6 +29,6 @@ val root : Ssd.Graph.t -> Relation.t
     wrong. *)
 val to_graph : edges:Relation.t -> root:Relation.t -> Ssd.Graph.t
 
-(** Datalog EDB view: [("edge", triples); ("root", [[n]])], the input
-    format of {!Datalog.eval}. *)
-val edb : Ssd.Graph.t -> (string * Ssd.Label.t list list) list
+(** The frozen datalog EDB [edge(src, label, dst)], [root(n)] that
+    {!Datalog.eval} reads; build it once per graph and share it. *)
+val edb : Ssd.Graph.t -> Datalog.edb

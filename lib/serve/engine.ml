@@ -121,10 +121,12 @@ let force memo build =
           v)
 
 (* What a snapshot's readers derive from its graph, each built on first
-   use: the frozen datalog EDB (first datalog QUERY) and the annotated
-   DataGuide behind slow-query estimates (first slow query). *)
+   use: the frozen datalog EDB (first datalog QUERY, SUBSCRIBE or
+   subscription re-prepare) and the annotated DataGuide behind
+   slow-query estimates (first slow query).  A memo's mutex is taken
+   alone or inside the writer mutex, never the other way round. *)
 type derived = {
-  base : Relstore.Datalog.base memo;
+  edb : Relstore.Datalog.edb memo;
   ann : Ssd_schema.Annotated.t memo;
 }
 
@@ -138,7 +140,7 @@ type snapshot = {
   derived : derived;
 }
 
-let snapshot db version = { db; version; derived = { base = memo (); ann = memo () } }
+let snapshot db version = { db; version; derived = { edb = memo (); ann = memo () } }
 
 type store = {
   (* Writer mutex: serializes UPDATE, SUBSCRIBE, UNSUBSCRIBE and
@@ -334,12 +336,11 @@ let cached_eval st ~db q =
     (g, false)
 
 (* The snapshot's frozen datalog EDB, built by its first datalog
-   QUERY. *)
-let datalog_base snap =
-  force snap.derived.base (fun () ->
+   reader. *)
+let datalog_edb snap =
+  force snap.derived.edb (fun () ->
       Metrics.incr m_base_builds;
-      Trace.with_span "datalog.base" (fun () ->
-          Relstore.Datalog.base_of_edb (Relstore.Triple.edb snap.db)))
+      Trace.with_span "datalog.base" (fun () -> Relstore.Triple.edb snap.db))
 
 (* UnQL without a budget goes through the shared result cache; every
    other query evaluates directly, datalog over the snapshot's frozen
@@ -354,7 +355,7 @@ let eval_query t ~snap ~budget (opts : Proto.options) c =
       Trace.bump "cache_hit" 1
     end;
     Budget.Complete (Lang.Graph g)
-  | _ -> Lang.eval ?budget ~edb:(fun () -> datalog_base snap) ~db c
+  | _ -> Lang.eval ?budget ~edb:(fun () -> datalog_edb snap) ~db c
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query telemetry                                                *)
@@ -513,10 +514,10 @@ let sub_eval_text st db kind =
 (* Re-check one subscription after a committed update; returns the new
    rendering when the result changed.  Monotone ε-free deltas drive the
    datalog model semi-naively: only the inserted edges' consequences are
-   derived, and "no new fact" skips the render entirely.  [edb'] is the
-   new graph's triples, shared by every subscription re-prepared on this
-   update. *)
-let sub_advance st ~db' ~edb' ~(d : Ssd_incr.Delta.t) s =
+   derived, and "no new fact" skips the render entirely.  A re-prepare
+   reads the EDB of [snap'], the snapshot this update published. *)
+let sub_advance st ~snap' ~(d : Ssd_incr.Delta.t) s =
+  let db' = snap'.db in
   match s.sub_kind with
   | Sub_unql _ ->
     let text = sub_eval_text st db' s.sub_kind in
@@ -544,7 +545,7 @@ let sub_advance st ~db' ~edb' ~(d : Ssd_incr.Delta.t) s =
     else begin
       (* non-monotone (or ε-touching) update: node ids may have been
          remapped, so the retained model is re-prepared from scratch *)
-      ds.dstate <- Relstore.Datalog.Incremental.prepare ~edb:(Lazy.force edb') ds.dprog;
+      ds.dstate <- Relstore.Datalog.Incremental.prepare ~edb:(datalog_edb snap') ds.dprog;
       let text = sub_eval_text st db' s.sub_kind in
       if text = s.sub_last then None else Some text
     end
@@ -554,11 +555,8 @@ let sub_advance st ~db' ~edb' ~(d : Ssd_incr.Delta.t) s =
    disjoint from the delta is skipped without evaluating anything; one
    whose re-evaluation fails is left untouched (the next update retries
    — a push must never take the update down with it). *)
-let notify_subs st ~db' ~(d : Ssd_incr.Delta.t) ~delta_labels =
+let notify_subs st ~snap' ~(d : Ssd_incr.Delta.t) ~delta_labels =
   let skipped = ref 0 and pushed = ref 0 in
-  (* built at most once per update, by the first re-prepared datalog
-     subscription; never leaves this domain *)
-  let edb' = lazy (Relstore.Triple.edb db') in
   Hashtbl.iter
     (fun _ s ->
       if Unql.Footprint.disjoint s.sub_fp delta_labels then begin
@@ -567,7 +565,7 @@ let notify_subs st ~db' ~(d : Ssd_incr.Delta.t) ~delta_labels =
       end
       else begin
         Metrics.incr m_sub_evals;
-        match sub_advance st ~db' ~edb' ~d s with
+        match sub_advance st ~snap' ~d s with
         | None -> Metrics.incr m_sub_unchanged
         | Some text ->
           s.sub_seq <- s.sub_seq + 1;
@@ -612,16 +610,15 @@ let do_subscribe t ~push ~conn_id (opts : Proto.options) body =
           body
       in
       locked t.st (fun () ->
-          let db = (Atomic.get t.st.snap).db in
+          let snap = Atomic.get t.st.snap in
           let kind, text =
             match c with
             | Lang.Unql (q, _) ->
               let kind = Sub_unql q in
-              (kind, sub_eval_text t.st db kind)
+              (kind, sub_eval_text t.st snap.db kind)
             | Lang.Datalog dprog ->
               let dstate =
-                Relstore.Datalog.Incremental.prepare
-                  ~edb:(Relstore.Triple.edb db) dprog
+                Relstore.Datalog.Incremental.prepare ~edb:(datalog_edb snap) dprog
               in
               ( Sub_datalog { dprog; dstate },
                 render_datalog_sorted (Relstore.Datalog.Incremental.result dstate) )
@@ -722,7 +719,7 @@ let do_update t (opts : Proto.options) body =
         let snap = snapshot db' (old.version + 1) in
         Atomic.set t.st.snap snap;
         Atomic.incr t.n_updates;
-        let skipped, pushed = notify_subs t.st ~db' ~d ~delta_labels in
+        let skipped, pushed = notify_subs t.st ~snap':snap ~d ~delta_labels in
         (snap, d, kept, dropped, skipped, pushed))
   with
   | { db = db'; version; _ }, d, kept, dropped, skipped, pushed ->

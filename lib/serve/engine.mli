@@ -19,17 +19,18 @@
     it.  A [QUERY] reads the current snapshot with one atomic load and
     takes no writer lock, so it never waits behind an [UPDATE]'s
     commit.  Each snapshot also memoizes what readers derive from its
-    graph: a frozen, columnar datalog EDB
-    ({!Relstore.Datalog.base}), built by the first datalog [QUERY] on
-    that version (so the first one after an [UPDATE] pays the build,
-    in a [datalog.base] span counted by [datalog.base.builds]) and
-    shared by every later one, and the annotated DataGuide behind
+    graph: its frozen, columnar datalog EDB ({!Relstore.Datalog.edb}),
+    built by the first datalog reader of that version — a [QUERY], a
+    [SUBSCRIBE], or an [UPDATE] re-preparing datalog subscriptions —
+    in a [datalog.base] span counted by [datalog.base.builds], and
+    shared by every later one; and the annotated DataGuide behind
     slow-query estimates.  Each is built once, under a mutex held only
-    while building; neither is built by [UPDATE] or by UnQL/Lorel
-    traffic.  Writers ([UPDATE], [SUBSCRIBE], [UNSUBSCRIBE] and
-    {!drop_conn}) serialize on a writer mutex.  The shared cache has a
-    small mutex of its own, held only for single lookups, inserts and
-    revalidations, never across evaluation or commit.  The contract:
+    while building; neither is built by UnQL/Lorel traffic or by an
+    [UPDATE] that re-prepares no datalog subscription.  Writers
+    ([UPDATE], [SUBSCRIBE], [UNSUBSCRIBE] and {!drop_conn}) serialize
+    on a writer mutex.  The shared cache has a small mutex of its own,
+    held only for single lookups, inserts and revalidations, never
+    across evaluation or commit.  The contract:
 
     - {b snapshot reads}: a query answers from one committed version;
       one that overlaps an [UPDATE] answers from the last committed

@@ -637,12 +637,9 @@ let commit st g =
   let pages = List.sort (fun (a, _) (b, _) -> compare a b) !changed in
   append_txn st ~pages { st.sb with Page.n_pages; segs = dir };
   (* Drop overlay/cache entries past the new end. *)
-  Hashtbl.iter
-    (fun p _ -> if p >= n_pages then Hashtbl.remove st.dirty p)
-    (Hashtbl.copy st.dirty);
-  Hashtbl.iter
-    (fun p _ -> if p >= n_pages then Hashtbl.remove st.images p)
-    (Hashtbl.copy st.images);
+  let below_end p v = if p >= n_pages then None else Some v in
+  Hashtbl.filter_map_inplace below_end st.dirty;
+  Hashtbl.filter_map_inplace below_end st.images;
   st.graph <- g;
   st.dict <- dict;
   st.seg_payloads <- segs;
@@ -802,14 +799,12 @@ let fsck (vfs : Vfs.t) =
                    (sb.Page.n_pages - 1))
             else begin
               try
-                let cap = Page.payload_capacity ~page_size in
                 let buf = Buffer.create s.Page.byte_len in
                 for i = 0 to k - 1 do
                   let _, payload =
                     Page.unframe ~page_size ~page_no:(s.Page.first_page + i)
                       (read_page (s.Page.first_page + i))
                   in
-                  ignore cap;
                   Buffer.add_bytes buf payload
                 done;
                 let payload = Buffer.to_bytes buf in

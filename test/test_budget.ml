@@ -55,6 +55,18 @@ let deadline_exhausts () =
   check "deadline denies steps" true !denied;
   check "reason is Deadline" true (Budget.exhausted b = Some Budget.Deadline)
 
+let deadline_is_wall_clock () =
+  (* a request that blocks past its deadline is out of time, although it
+     used no processor time while blocked *)
+  let b = Budget.create ~deadline_ms:20. () in
+  Unix.sleepf 0.06;
+  let granted = ref 0 in
+  for _ = 1 to 128 do
+    if Budget.step b then incr granted
+  done;
+  check "steps denied after the deadline" true (!granted < 128);
+  check "reason is Deadline" true (Budget.exhausted b = Some Budget.Deadline)
+
 (* ------------------------------------------------------------------ *)
 (* Partial answers are sound lower bounds, per evaluator.              *)
 (* ------------------------------------------------------------------ *)
@@ -99,6 +111,7 @@ let datalog_partial_is_lower_bound =
       ("start", [ [ Label.int 0 ] ]);
       ("node", List.init 30 (fun i -> [ Label.int i ]));
     ]
+    |> Relstore.Datalog.edb_of_list
   in
   let program =
     Relstore.Datalog.parse
@@ -132,6 +145,7 @@ let tests =
     Alcotest.test_case "exempt suspends the budget" `Quick exempt_suspends;
     Alcotest.test_case "unlimited never exhausts" `Quick unlimited_never_exhausts;
     Alcotest.test_case "deadline exhausts" `Quick deadline_exhausts;
+    Alcotest.test_case "deadline is wall-clock time" `Quick deadline_is_wall_clock;
     unql_partial_is_lower_bound;
     lorel_partial_is_lower_bound;
     datalog_partial_is_lower_bound;

@@ -5,9 +5,11 @@ module Graph = Ssd.Graph
 open Gen
 
 let check = Alcotest.(check bool)
+let no_facts = Datalog.edb_of_list []
 let check_int = Alcotest.(check int)
 
 let sort_tuples = List.sort_uniq compare
+let norm r = List.map (fun (p, ts) -> (p, sort_tuples ts)) r
 
 let parse_and_print () =
   let p =
@@ -26,7 +28,7 @@ let parse_and_print () =
 
 let safety () =
   let unsafe src =
-    match Datalog.eval ~edb:[] (Datalog.parse src) with
+    match Datalog.eval ~edb:no_facts (Datalog.parse src) with
     | exception Datalog.Unsafe _ -> true
     | _ -> false
   in
@@ -36,7 +38,7 @@ let safety () =
 
 let stratification () =
   check "negation through recursion rejected" true
-    (match Datalog.eval ~edb:[] (Datalog.parse "p(?X) :- q(?X), not p(?X).") with
+    (match Datalog.eval ~edb:no_facts (Datalog.parse "p(?X) :- q(?X), not p(?X).") with
      | exception Datalog.Not_stratified _ -> true
      | _ -> false);
   let p =
@@ -48,11 +50,12 @@ let stratification () =
   check_int "two strata" 2 (Datalog.n_strata p)
 
 let edb_chain n =
-  [
-    ("e", List.init (n - 1) (fun i -> [ Label.int i; Label.int (i + 1) ]));
-    ("start", [ [ Label.int 0 ] ]);
-    ("node", List.init n (fun i -> [ Label.int i ]));
-  ]
+  Datalog.edb_of_list
+    [
+      ("e", List.init (n - 1) (fun i -> [ Label.int i; Label.int (i + 1) ]));
+      ("start", [ [ Label.int 0 ] ]);
+      ("node", List.init n (fun i -> [ Label.int i ]));
+    ]
 
 let transitive_closure () =
   let program =
@@ -71,11 +74,12 @@ let stratified_negation () =
          unreach(?X) :- node(?X), not reach(?X). |}
   in
   let edb =
-    [
-      ("e", [ [ Label.int 0; Label.int 1 ] ]);
-      ("start", [ [ Label.int 0 ] ]);
-      ("node", [ [ Label.int 0 ]; [ Label.int 1 ]; [ Label.int 2 ]; [ Label.int 3 ] ]);
-    ]
+    Datalog.edb_of_list
+      [
+        ("e", [ [ Label.int 0; Label.int 1 ] ]);
+        ("start", [ [ Label.int 0 ] ]);
+        ("node", [ [ Label.int 0 ]; [ Label.int 1 ]; [ Label.int 2 ]; [ Label.int 3 ] ]);
+      ]
   in
   check "unreachable = {2,3}" true
     (sort_tuples (Datalog.query ~edb program "unreach")
@@ -83,7 +87,7 @@ let stratified_negation () =
 
 let comparisons () =
   let program = Datalog.parse {| big(?X) :- n(?X), ?X > 10. eq(?X) :- n(?X), ?X = 5. |} in
-  let edb = [ ("n", List.init 20 (fun i -> [ Label.int i ])) ] in
+  let edb = Datalog.edb_of_list [ ("n", List.init 20 (fun i -> [ Label.int i ])) ] in
   check_int "nine big" 9 (List.length (Datalog.query ~edb program "big"));
   check_int "one eq" 1 (List.length (Datalog.query ~edb program "eq"))
 
@@ -94,12 +98,12 @@ let facts_and_constants () =
          nice(?C) :- color(?C), ?C != red. |}
   in
   check "blue is nice" true
-    (Datalog.query ~edb:[] program "nice" = [ [ Label.sym "blue" ] ])
+    (Datalog.query ~edb:no_facts program "nice" = [ [ Label.sym "blue" ] ])
 
 let missing_predicate_is_empty () =
   let program = Datalog.parse "p(?X) :- q(?X)." in
-  check "no q facts, empty p" true (Datalog.query ~edb:[] program "p" = []);
-  check "unknown predicate" true (Datalog.query ~edb:[] program "zzz" = [])
+  check "no q facts, empty p" true (Datalog.query ~edb:no_facts program "p" = []);
+  check "unknown predicate" true (Datalog.query ~edb:no_facts program "zzz" = [])
 
 let cyclic_graph_reachability () =
   let g = Ssd.Syntax.parse_graph "&r {a: {b: *r}, c: {}}" in
@@ -111,9 +115,9 @@ let cyclic_graph_reachability () =
   let n = List.length (Datalog.query ~edb:(Triple.edb g) program "reach") in
   check_int "terminates on cycles, finds all" (Graph.n_nodes (Graph.eps_eliminate g)) n
 
-(* Programs the shared-base property runs in sequence over one base;
-   the symbol [LBL] stands for a generated label constant. *)
-let base_programs =
+(* Programs the shared-EDB property runs in sequence over one EDB; the
+   symbol [LBL] stands for a generated label constant. *)
+let edb_programs =
   List.map Datalog.parse
     [
       (* full scan: no bound position *)
@@ -130,7 +134,7 @@ let base_programs =
          src(?X) :- edge(?X, ?L, ?Y).
          leaf(?Y) :- edge(?X, ?L, ?Y), not src(?Y).
          inner(?X) :- edge(?X, ?L, ?Y), not root(?X). |};
-      (* heads naming base predicates *)
+      (* heads naming EDB predicates *)
       {| edge(?Y, LBL, ?X) :- edge(?X, ?L, ?Y).
          back(?X, ?Y) :- edge(?X, LBL, ?Y). |};
       {| root(?Y) :- root(?X), edge(?X, ?L, ?Y).
@@ -158,41 +162,71 @@ let with_label l program =
     (fun (r : Datalog.rule) -> { Datalog.head = atom r.head; body = List.map literal r.body })
     program
 
-(* The triple encoding plus a mixed-arity [mix] and a second [root]
-   entry (a predicate listed twice is the union of its entries). *)
-let base_edb g =
-  let edb = Triple.edb g in
+(* The triple encoding (as {!Triple.edb} builds it) plus a mixed-arity
+   [mix] and a second [root] entry (a predicate listed twice is the
+   union of its entries). *)
+let edb_tuples g =
+  let g = Graph.eps_eliminate g in
+  let edge =
+    Graph.fold_labeled_edges (fun acc u l v -> [ Label.Int u; l; Label.Int v ] :: acc) [] g
+  in
   let mix =
     []
     :: List.concat_map
          (function [ u; l; v ] -> [ [ v ]; [ u; l ]; [ u; l; v ]; [ v ] ] | t -> [ t ])
-         (List.assoc "edge" edb)
+         edge
   in
-  edb @ [ ("mix", mix); ("root", [ [ Label.int 0 ] ]) ]
+  [
+    ("edge", edge);
+    ("root", [ [ Label.Int (Graph.root g) ] ]);
+    ("mix", mix);
+    ("root", [ [ Label.int 0 ] ]);
+  ]
 
-let shared_base_is_fresh =
-  qtest "shared base = fresh EDB, tuple order and budget included" ~count:80
+(* Does a positive body literal read a predicate the program derives? *)
+let recursive program =
+  let heads = List.map (fun (r : Datalog.rule) -> r.head.pred) program in
+  List.exists
+    (fun (r : Datalog.rule) ->
+      List.exists (function Datalog.Pos a -> List.mem a.Datalog.pred heads | _ -> false) r.body)
+    program
+
+(* One EDB shared by a sequence of evaluations answers each exactly as
+   an EDB built afresh for it: no evaluation writes the EDB (heads naming
+   [edge]/[root] included), tuple order and budget outcomes agree.  A
+   complete answer also equals [eval_naive]'s, which reads mutable copies
+   of every EDB predicate: in content, and for a program without
+   positive recursion (naive's first pass is then semi-naive's round 0)
+   in tuple order too, so the frozen relations enumerate exactly as
+   mutable sets do. *)
+let shared_edb_is_fresh =
+  qtest "shared EDB = fresh EDB, tuple order and budget included" ~count:80
     QCheck2.Gen.(
       quad graph
         (list_size (int_range 1 6)
-           (pair (int_range 0 (List.length base_programs - 1)) label))
+           (pair (int_range 0 (List.length edb_programs - 1)) label))
         (oneofl [ 1; 4 ])
         (opt (int_range 1 300)))
     (fun (g, picks, jobs, max_steps) ->
-      let edb = base_edb g in
-      let base = Datalog.base_of_edb edb in
+      let tuples = edb_tuples g in
+      let shared = Datalog.edb_of_list tuples in
       let same program =
+        let fresh = Datalog.edb_of_list tuples in
         match max_steps with
-        | None -> Datalog.eval_base base program = Datalog.eval ~edb program
+        | None ->
+          let answer = Datalog.eval ~edb:shared program in
+          let naive = Datalog.eval_naive ~edb:shared program in
+          answer = Datalog.eval ~edb:fresh program
+          && if recursive program then norm answer = norm naive else answer = naive
         | Some max_steps ->
           let b1 = Ssd.Budget.create ~max_steps () and b2 = Ssd.Budget.create ~max_steps () in
-          Ssd.Budget.wrap b1 (Datalog.eval_base ~budget:b1 base program)
-          = Datalog.eval_outcome ~budget:b2 ~edb program
+          Datalog.eval_outcome ~budget:b1 ~edb:shared program
+          = Datalog.eval_outcome ~budget:b2 ~edb:fresh program
       in
       let programs =
-        List.map (fun (i, l) -> with_label l (List.nth base_programs i)) picks
-        (* the base is still the original after every program *)
-        @ [ List.hd base_programs; Datalog.parse "top(?X) :- root(?X)." ]
+        List.map (fun (i, l) -> with_label l (List.nth edb_programs i)) picks
+        (* the shared EDB is still the original after every program *)
+        @ [ List.hd edb_programs; Datalog.parse "top(?X) :- root(?X)." ]
       in
       Ssd_par.Pool.set_default_jobs jobs;
       Fun.protect
@@ -201,7 +235,7 @@ let shared_base_is_fresh =
 
 let properties =
   [
-    shared_base_is_fresh;
+    shared_edb_is_fresh;
     qtest "semi-naive = naive on random graphs" ~count:60 graph (fun g ->
         let program =
           Datalog.parse
@@ -211,7 +245,6 @@ let properties =
                far(?Y)   :- reach(?X), edge(?X, ?L, ?Y), edge(?Y, ?L2, ?Z), ?L != ?L2. |}
         in
         let edb = Triple.edb g in
-        let norm r = List.map (fun (p, ts) -> (p, sort_tuples ts)) r in
         norm (Datalog.eval ~edb program) = norm (Datalog.eval_naive ~edb program));
     qtest "datalog reach = graph reachability" ~count:60 graph (fun g ->
         let program =

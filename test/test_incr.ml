@@ -262,7 +262,7 @@ let datalog_incremental_differential (edges, cut) =
   let base = List.filteri (fun i _ -> i < k) edges in
   let rest = List.filteri (fun i _ -> i >= k) edges in
   let root = [ ("root", [ [ Label.Int 0 ] ]) ] in
-  let edb_of es = ("edge", List.map edge_tuple es) :: root in
+  let edb_of es = Datalog.edb_of_list (("edge", List.map edge_tuple es) :: root) in
   let st = Datalog.Incremental.prepare ~edb:(edb_of base) incr_prog in
   let cur = ref base in
   List.for_all
@@ -288,6 +288,26 @@ let datalog_incremental_differential (edges, cut) =
              after)
     rest
 
+(* A state reads its EDB in place and keeps inserted tuples to itself:
+   re-inserting tuples the EDB already holds derives nothing, and after
+   advancing, the EDB still prepares to the original model. *)
+let datalog_advance_keeps_edb (edges, extra) =
+  let tuples = List.map (fun (u, l, v) -> edge_tuple (u mod 6, l, v mod 6)) in
+  let edb =
+    Datalog.edb_of_list [ ("edge", tuples edges); ("root", [ [ Label.Int 0 ] ]) ]
+  in
+  let model () =
+    sorted_model (Datalog.Incremental.result (Datalog.Incremental.prepare ~edb incr_prog))
+  in
+  let original = model () in
+  let st = Datalog.Incremental.prepare ~edb incr_prog in
+  Datalog.Incremental.advance st
+    ~edb_delta:[ ("edge", List.rev (tuples edges)); ("root", [ [ Label.Int 0 ] ]) ]
+  = []
+  && sorted_model (Datalog.Incremental.result st) = original
+  && (ignore (Datalog.Incremental.advance st ~edb_delta:[ ("edge", tuples extra) ]);
+      model () = original)
+
 let datalog_rejects_negation () =
   let p =
     Datalog.parse
@@ -301,7 +321,10 @@ let datalog_rejects_negation () =
        (Ssd_diag.make Ssd_diag.Error ~code:"SSD213"
           "incremental maintenance requires a negation-free program"))
     (fun () ->
-      ignore (Datalog.Incremental.prepare ~edb:[ ("root", [ [ Label.Int 0 ] ]) ] p))
+      ignore
+        (Datalog.Incremental.prepare
+           ~edb:(Datalog.edb_of_list [ ("root", [ [ Label.Int 0 ] ]) ])
+           p))
 
 (* ------------------------------------------------------------------ *)
 (* Footprints and cache revalidation                                   *)
@@ -461,6 +484,13 @@ let datalog_props =
             (Q.triple (Q.int_range 0 5) Gen.label (Q.int_range 0 5)))
          (Q.int_range 0 1000))
       datalog_incremental_differential;
+    Gen.qtest "datalog: advance never writes the prepared EDB" ~count:100
+      (Q.pair
+         (Q.list_size (Q.int_range 0 12)
+            (Q.triple (Q.int_range 0 5) Gen.label (Q.int_range 0 5)))
+         (Q.list_size (Q.int_range 1 6)
+            (Q.triple (Q.int_range 0 5) Gen.label (Q.int_range 0 5))))
+      datalog_advance_keeps_edb;
   ]
 
 let tests =

@@ -110,6 +110,7 @@ let datalog_jobs_invariant =
       ("start", [ [ Label.int 0 ] ]);
       ("node", List.init 60 (fun i -> [ Label.int i ]));
     ]
+    |> Relstore.Datalog.edb_of_list
   in
   let program =
     Relstore.Datalog.parse

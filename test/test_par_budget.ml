@@ -36,6 +36,7 @@ let datalog_parallel_partial_is_subset =
       ("start", [ [ Label.int 0 ] ]);
       ("node", List.init 41 (fun i -> [ Label.int i ]));
     ]
+    |> Relstore.Datalog.edb_of_list
   in
   let program =
     Relstore.Datalog.parse

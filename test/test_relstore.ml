@@ -2,6 +2,7 @@ module Label = Ssd.Label
 module Relation = Relstore.Relation
 module Ra = Relstore.Ra
 module Triple = Relstore.Triple
+module Datalog = Relstore.Datalog
 module Graph = Ssd.Graph
 open Gen
 
@@ -109,8 +110,9 @@ let triple_properties =
         <= Graph.n_edges (Graph.eps_eliminate g));
     qtest "edb mirrors relations" graph (fun g ->
         let edb = Triple.edb g in
-        List.length (List.assoc "edge" edb) >= Relation.cardinality (Triple.edges g)
-        && List.length (List.assoc "root" edb) = 1);
+        let copy = Datalog.parse "e(?S, ?L, ?D) :- edge(?S, ?L, ?D). r(?N) :- root(?N)." in
+        List.length (Datalog.query ~edb copy "e") = Relation.cardinality (Triple.edges g)
+        && List.length (Datalog.query ~edb copy "r") = 1);
   ]
 
 let tests =

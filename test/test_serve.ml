@@ -358,7 +358,7 @@ let one_compile_per_request () =
         cases)
 
 (* What the sequential CLI prints for a datalog query, as a wire frame:
-   [Lang.eval] with no shared EDB, so the triples are loaded afresh. *)
+   [Lang.eval] without [?edb], so it builds the graph's EDB itself. *)
 let datalog_cli_frame ?max_steps ~db text =
   let module Lang = Ssd_lint.Lang in
   let module Budget = Ssd.Budget in
@@ -371,8 +371,9 @@ let datalog_cli_frame ?max_steps ~db text =
   in
   Proto.render_response (Proto.response ~detail status (Lang.render (Budget.value outcome)))
 
-(* Datalog QUERYs on one snapshot version share one frozen EDB, built by
-   the first of them inside a [datalog.base] span; an UPDATE's version
+(* The datalog readers of one snapshot version — QUERYs, a SUBSCRIBE, an
+   UPDATE's subscription re-prepare — share one frozen EDB, built by the
+   first of them inside a [datalog.base] span; an UPDATE's version
    builds its own; UnQL and Lorel traffic never builds one.  Every
    answer, partial ones included, is the CLI's. *)
 let datalog_base_per_version () =
@@ -437,7 +438,21 @@ let datalog_base_per_version () =
       [ 1; 3; 10; 30; 100; 100_000 ]
   in
   check "some budgets end partial" true (partials <> []);
-  expect_builds "budgeted QUERYs reuse the version's base" 2
+  expect_builds "budgeted QUERYs reuse the version's base" 2;
+  let cli () = datalog_cli_frame ~db:(Engine.store_db store) prog in
+  ignore (Engine.handle_line e {|UPDATE - insert DB.entry := {movie: {title: "W"}}|});
+  expect_builds "an UPDATE with no datalog subscription builds none" 2;
+  let sub = "reach(?X) :- root(?X). reach(?Y) :- reach(?X), edge(?X, ?L, ?Y)." in
+  let resp, _ = Engine.handle ~push:ignore ~conn_id:3 e ("SUBSCRIBE lang=datalog " ^ sub) in
+  check "datalog SUBSCRIBE answered" true (resp.Proto.status = Proto.Complete);
+  expect_builds "SUBSCRIBE builds the version's EDB" 3;
+  Alcotest.(check string) "QUERY after SUBSCRIBE = CLI" (cli ()) (query ());
+  expect_builds "the QUERY reuses the EDB SUBSCRIBE built" 3;
+  (* non-monotone: the subscription is re-prepared from scratch *)
+  ignore (Engine.handle_line e "UPDATE - delete DB.entry");
+  expect_builds "the re-prepare builds the published version's EDB" 4;
+  Alcotest.(check string) "QUERY after the re-prepare = CLI" (cli ()) (query ());
+  expect_builds "the QUERY reuses the EDB the re-prepare built" 4
 
 let queued_backlog_sheds () =
   let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in

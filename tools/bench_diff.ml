@@ -7,9 +7,12 @@
    For every experiment entry present in both files with both values at
    least --min-value (noise floor, default 50), the relative change
    (new - old) / old is computed; any entry above --threshold percent
-   (default 25) is a regression.  Exit status: 0 when clean, 1 when any
-   regression was found, 2 on usage or parse errors — so a CI step can
-   gate merges on `bench_diff baseline.json current.json`. *)
+   (default 25) is a regression.  An experiment or entry present in OLD
+   but missing from NEW is a failure too: a dropped record would
+   otherwise pass unseen.  Exit status: 0 when clean, 1 when any
+   regression or missing entry was found, 2 on usage or parse errors —
+   so a CI step can gate merges on `bench_diff baseline.json
+   current.json`. *)
 
 module J = Ssd.Json
 
@@ -84,15 +87,20 @@ let () =
   let compared = ref 0 in
   let regressions = ref 0 in
   let improvements = ref 0 in
+  let missing = ref 0 in
   List.iter
     (fun (exp_name, old_entries) ->
       match List.assoc_opt exp_name new_exps with
-      | None -> Printf.printf "~ %s: missing from %s, skipped\n" exp_name new_path
+      | None ->
+        incr missing;
+        Printf.printf "MISSING    %s: not in %s\n" exp_name new_path
       | Some new_entries ->
         List.iter
           (fun (key, old_v) ->
             match List.assoc_opt key new_entries with
-            | None -> ()
+            | None ->
+              incr missing;
+              Printf.printf "MISSING    %s/%s: not in %s\n" exp_name key new_path
             | Some new_v ->
               if old_v >= !min_value && new_v >= !min_value then begin
                 incr compared;
@@ -110,6 +118,7 @@ let () =
               end)
           old_entries)
     old_exps;
-  Printf.printf "%d entries compared, %d regressions, %d improvements (threshold %.0f%%)\n"
-    !compared !regressions !improvements !threshold;
-  exit (if !regressions > 0 then 1 else 0)
+  Printf.printf
+    "%d entries compared, %d regressions, %d improvements, %d missing (threshold %.0f%%)\n"
+    !compared !regressions !improvements !missing !threshold;
+  exit (if !regressions > 0 || !missing > 0 then 1 else 0)
