@@ -5,7 +5,10 @@
    Usage:
      dune exec bench/main.exe            # all experiments, default sizes
      dune exec bench/main.exe -- e3 e7   # a subset
-     dune exec bench/main.exe -- --full  # larger sizes *)
+     dune exec bench/main.exe -- --full  # larger sizes
+
+   Several experiments run one after another, each in a fresh child
+   process of this executable ([main.exe NAME [--full] --json PATH]). *)
 
 module Graph = Ssd.Graph
 module Label = Ssd.Label
@@ -531,7 +534,8 @@ let e10 () =
 (* ------------------------------------------------------------------ *)
 
 let e11 () =
-  section "E11 storage: codec size; clustering vs page faults (sec. 4)";
+  section "E11 storage: segment codec size; clustering vs page faults (sec. 4)";
+  let module Seg = Ssd_storage.Seg in
   let n = if !full then 20000 else 5000 in
   let datasets =
     [
@@ -540,26 +544,44 @@ let e11 () =
       ("web", Ssd_workload.Webgraph.generate ~seed:11 ~n_pages:(n / 5) ());
     ]
   in
+  (* What a store commit writes for a graph: its dictionary, then the
+     CSR graph encoded against it. *)
+  let encode g =
+    let dict = Seg.dict_of_graph g in
+    (Seg.encode_dict dict, Seg.encode_graph ~dict g)
+  in
+  let decode (dict_b, graph_b) = Seg.decode_graph ~dict:(Seg.decode_dict dict_b) graph_b in
   let rows =
     List.map
       (fun (name, g) ->
-        let size = Ssd_storage.Codec.encoded_size g in
-        let _, t_enc = time_once (fun () -> Ssd_storage.Codec.encode g) in
-        let data = Ssd_storage.Codec.encode g in
-        let _, t_dec = time_once (fun () -> Ssd_storage.Codec.decode data) in
+        let ((dict_b, graph_b) as data) = encode g in
+        let g' = decode data in
+        if Graph.n_nodes g' <> Graph.n_nodes g || Graph.n_edges g' <> Graph.n_edges g
+           || not (Bytes.equal graph_b (snd (encode g')))
+        then failwith ("e11: segment round-trip differs on " ^ name);
+        let timings =
+          measure ~quota:0.4
+            [
+              ("seg-encode", fun () -> ignore (encode g));
+              ("seg-decode", fun () -> ignore (decode data));
+            ]
+        in
+        let t case = ns_to_string (List.assoc case timings) in
+        let size = Bytes.length dict_b + Bytes.length graph_b in
         [
           name;
           string_of_int (Graph.n_nodes g);
           string_of_int (Graph.n_edges g);
-          string_of_int size;
+          string_of_int (Bytes.length dict_b);
+          string_of_int (Bytes.length graph_b);
           Printf.sprintf "%.1f" (float_of_int size /. float_of_int (Graph.n_edges g));
-          s_to_string t_enc;
-          s_to_string t_dec;
+          t "seg-encode";
+          t "seg-decode";
         ])
       datasets
   in
-  print_table ~title:"binary codec"
-    ~header:[ "dataset"; "nodes"; "edges"; "bytes"; "B/edge"; "encode"; "decode" ]
+  print_table ~title:"segment codec (dictionary + CSR graph)"
+    ~header:[ "dataset"; "nodes"; "edges"; "dict B"; "graph B"; "B/edge"; "encode"; "decode" ]
     rows;
   (* Clustering: path-shaped workload over the deep taxonomy. *)
   let g = Ssd_workload.Biodb.generate ~seed:12 ~n_taxa:n () in
@@ -1421,8 +1443,8 @@ let e21 () =
     if n = 0 then nan
     else a.(max 0 (min (n - 1) (int_of_float (ceil (p /. 100. *. float n)) - 1)))
   in
-  (* One scrape: snapshot the whole default registry (well populated by
-     this point in the bench run) and render the exposition. *)
+  (* One scrape: snapshot the whole default registry and render the
+     exposition. *)
   let scrape () = Export.openmetrics (Metrics.snapshot Metrics.default) in
   (match Export.parse (scrape ()) with
   | Result.Ok _ -> ()
@@ -1701,15 +1723,38 @@ let () =
   in
   let args = strip_json [] args in
   let selected = if args = [] then List.map fst experiments else args in
-  Printf.printf "# Semistructured Data (PODS'97) — reconstructed evaluation\n";
-  Printf.printf "(sizes: %s; see EXPERIMENTS.md for the experiment index)\n"
-    (if !full then "full" else "default");
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        set_experiment name;
-        f ()
-      | None -> Printf.eprintf "unknown experiment %s\n" name)
+      if not (List.mem_assoc name experiments) then begin
+        Printf.eprintf "unknown experiment %s\n" name;
+        exit 2
+      end)
     selected;
-  write_bench_json !json_path
+  match selected with
+  | [ name ] ->
+    set_experiment name;
+    (List.assoc name experiments) ();
+    write_bench_json !json_path
+  | _ ->
+    (* One child process per experiment, so no experiment's heap, metrics
+       registry or warm caches bleed into the next one's timings; each
+       child merges its own entries into the JSON record. *)
+    Printf.printf "# Semistructured Data (PODS'97) — reconstructed evaluation\n";
+    Printf.printf "(sizes: %s; see EXPERIMENTS.md for the experiment index)\n%!"
+      (if !full then "full" else "default");
+    List.iter
+      (fun name ->
+        let argv =
+          Array.of_list
+            ((Sys.executable_name :: name :: (if !full then [ "--full" ] else []))
+            @ [ "--json"; !json_path ])
+        in
+        let pid =
+          Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout Unix.stderr
+        in
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ ->
+          Printf.eprintf "experiment %s failed\n%!" name;
+          exit 1)
+      selected

@@ -59,7 +59,6 @@ let load_data path =
     if Filename.check_suffix path ".json" then
       Graph.of_tree (Ssd.Json.to_tree (Ssd.Json.parse src))
     else if Filename.check_suffix path ".oem" then Ssd.Oem.to_graph (Ssd.Oem.parse src)
-    else if Filename.check_suffix path ".bin" then Ssd_storage.Codec.read_file path
     else Ssd.Syntax.parse_graph src
   end
 
@@ -1132,7 +1131,7 @@ let store_compact_cmd dir =
 open Cmdliner
 
 let data_doc =
-  "Data file (.ssd syntax; .json, .oem and .bin are auto-detected) \
+  "Data file (.ssd syntax; .json and .oem are auto-detected) \
    or builtin:KIND[:N] for a generated workload \
    (figure1|movies|web|bio|bib|randtree)."
 

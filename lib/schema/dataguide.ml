@@ -90,19 +90,23 @@ let find dg path =
 (* ------------------------------------------------------------------ *)
 
 module B = Ssd_storage.Bytesio
-module Codec = Ssd_storage.Codec
+module Seg = Ssd_storage.Seg
 
 let magic = "SSDU"
 
-(* The guide graph is embedded as a length-prefixed {!Codec} blob
-   (deterministic: [build] is), followed by the per-guide-node target
-   sets, each sorted. *)
+(* The guide graph is embedded as two length-prefixed {!Seg} blobs, its
+   label dictionary then its CSR graph (deterministic: [build] is),
+   followed by the per-guide-node target sets, each sorted. *)
 let to_bytes dg =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf magic;
-  let gbytes = Codec.encode dg.graph in
-  B.put_varint buf (Bytes.length gbytes);
-  Buffer.add_bytes buf gbytes;
+  let dict = Seg.dict_of_graph dg.graph in
+  let put_blob b =
+    B.put_varint buf (Bytes.length b);
+    Buffer.add_bytes buf b
+  in
+  put_blob (Seg.encode_dict dict);
+  put_blob (Seg.encode_graph ~dict dg.graph);
   B.put_varint buf (Array.length dg.targets);
   Array.iter
     (fun nodes ->
@@ -115,13 +119,19 @@ let to_bytes dg =
 let of_bytes data =
   let r = B.reader data in
   B.expect_magic r magic;
-  let glen = B.get_varint r in
-  if glen < 0 || glen > B.remaining r then
-    B.corrupt ~offset:r.B.pos
-      ~expected:(Printf.sprintf "a guide blob within the %d bytes left" (B.remaining r))
-      ~found:(string_of_int glen);
-  let graph = Codec.decode (Bytes.sub r.B.data r.B.pos glen) in
-  r.B.pos <- r.B.pos + glen;
+  let blob what =
+    let len = B.get_varint r in
+    if len > B.remaining r then
+      B.corrupt ~offset:r.B.pos
+        ~expected:
+          (Printf.sprintf "a guide %s blob within the %d bytes left" what (B.remaining r))
+        ~found:(string_of_int len);
+    let b = Bytes.sub r.B.data r.B.pos len in
+    r.B.pos <- r.B.pos + len;
+    b
+  in
+  let dict = Seg.decode_dict (blob "dictionary") in
+  let graph = Seg.decode_graph ~dict (blob "graph") in
   let n = B.get_varint r in
   if n <> Graph.n_nodes graph then
     B.corrupt ~offset:r.B.pos

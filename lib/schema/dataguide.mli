@@ -40,8 +40,9 @@ val n_nodes : t -> int
     summary shown to a browsing user. *)
 val paths : t -> max_len:int -> Ssd.Label.t list list
 
-(** Canonical bytes: the guide graph as a {!Ssd_storage.Codec} blob plus
-    sorted target sets.  Guides of the same data serialize identically. *)
+(** Canonical bytes: the guide graph as {!Ssd_storage.Seg} dictionary
+    and graph blobs plus sorted target sets.  Guides of the same data
+    serialize identically. *)
 val to_bytes : t -> bytes
 
 (** Raises [Ssd_storage.Bytesio.Corrupt] on malformed input. *)

@@ -1,12 +1,12 @@
 (* Offset-tracking binary readers and writers, shared by the graph codec
-   (Codec), the index/DataGuide serializers (lib/index, lib/schema) and
+   (Seg), the index/DataGuide serializers (lib/index, lib/schema) and
    the persistent store's page, segment and WAL formats (lib/store).
 
    The reading side follows parsifal's discipline: every decoder tracks
-   the byte offset it is looking at and raises a typed {!Corrupt} (the
-   same exception [Codec.Corrupt] re-exports) carrying that offset plus
-   expected/found descriptions — no decoder in the tree may raise
-   anything else on malformed input, however truncated or bit-flipped.
+   the byte offset it is looking at and raises a typed {!Corrupt}
+   carrying that offset plus expected/found descriptions — no decoder in
+   the tree may raise anything else on malformed input, however
+   truncated or bit-flipped.
    Counts are validated against the bytes remaining before any
    allocation, so fuzzed inputs cannot drive huge allocations. *)
 
@@ -20,7 +20,7 @@ let () =
   Printexc.register_printer (function
     | Corrupt { offset; expected; found } ->
       Some
-        (Printf.sprintf "Codec.Corrupt at byte %d: expected %s, found %s" offset
+        (Printf.sprintf "Bytesio.Corrupt at byte %d: expected %s, found %s" offset
            expected found)
     | _ -> None)
 

@@ -1,5 +1,5 @@
 (** Offset-tracking binary readers/writers and CRC32, shared by the graph
-    codec ({!Codec}), the index and DataGuide serializers and the
+    codec ({!Seg}), the index and DataGuide serializers and the
     persistent store's page/segment/WAL formats ([lib/store]).
 
     Decoders raise only the typed {!Corrupt} on malformed input —

@@ -13,7 +13,7 @@
    node bounds, the edge count, full consumption — and raise only the
    typed [Bytesio.Corrupt]. *)
 
-module B = Ssd_storage.Bytesio
+module B = Bytesio
 module Graph = Ssd.Graph
 module Label = Ssd.Label
 

@@ -25,6 +25,7 @@
      all of this. *)
 
 module B = Ssd_storage.Bytesio
+module Seg = Ssd_storage.Seg
 module Graph = Ssd.Graph
 module Metrics = Ssd_obs.Metrics
 module Trace = Ssd_obs.Trace

@@ -277,33 +277,35 @@ let unql_query : Unql.Ast.expr Q.t = unql_query_with small_regex
    cardinality upper-bound property. *)
 let unql_query_norec : Unql.Ast.expr Q.t = unql_query_with small_regex_norec
 
-(* Corrupted codec inputs: a valid encoding with a seeded mutation —
-   truncation, bit flips, or a byte stomp.  Decoding one must either
-   succeed or raise [Ssd_storage.Codec.Corrupt]; anything else (generic
-   Failure, Invalid_argument, out-of-memory array sizes) is a bug. *)
-let corrupted_encoding : bytes Q.t =
+(* Corrupted segment inputs: [encode g] for a random graph [g], with a
+   seeded mutation — truncation, bit flips, or a byte stomp — paired
+   with [g], from which a decoder can rebuild its context (the graph
+   segment's dictionary).  Decoding one must either succeed or raise
+   [Ssd_storage.Bytesio.Corrupt]; anything else (generic Failure,
+   Invalid_argument, out-of-memory array sizes) is a bug. *)
+let corrupted_encoding (encode : Graph.t -> bytes) : (Graph.t * bytes) Q.t =
   let open Q in
-  let* g = graph in
-  let data = Ssd_storage.Codec.encode g in
+  let* g = eps_graph in
+  let data = encode g in
   let n = Bytes.length data in
   let* choice = int_range 0 2 in
   match choice with
   | 0 ->
     let* k = int_range 0 (n - 1) in
-    pure (Bytes.sub data 0 k)
+    pure (g, Bytes.sub data 0 k)
   | 1 ->
     let* flips = list_size (int_range 1 4) (pair (int_range 0 (n - 1)) (int_range 0 7)) in
     let b = Bytes.copy data in
     List.iter
       (fun (i, bit) -> Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl bit)))
       flips;
-    pure b
+    pure (g, b)
   | _ ->
     let* i = int_range 0 (n - 1) in
     let* v = int_range 0 255 in
     let b = Bytes.copy data in
     Bytes.set_uint8 b i v;
-    pure b
+    pure (g, b)
 
 (* A fault-plan spec for the distributed evaluator, in the CLI grammar.
    Probabilities stay below 1 so every run still quiesces. *)

@@ -1,70 +1,94 @@
+(* The storage layer: the segment codec (label dictionary + CSR graph)
+   and the decoders built on it, page layout and the LRU buffer-pool
+   simulation. *)
+
 module Graph = Ssd.Graph
-module Codec = Ssd_storage.Codec
+module B = Ssd_storage.Bytesio
+module Seg = Ssd_storage.Seg
 module Pager = Ssd_storage.Pager
 open Gen
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Both segments of [g]: the dictionary and the graph encoded against it. *)
+let encode g =
+  let dict = Seg.dict_of_graph g in
+  (Seg.encode_dict dict, Seg.encode_graph ~dict g)
+
+let decode (dict_b, graph_b) = Seg.decode_graph ~dict:(Seg.decode_dict dict_b) graph_b
+
+let encoded_size g =
+  let d, gb = encode g in
+  Bytes.length d + Bytes.length gb
+
 let roundtrip_fig1 () =
   let g = Ssd_workload.Movies.figure1 () in
-  let g' = Codec.decode (Codec.encode g) in
+  let dict = Seg.dict_of_graph g in
+  let dict_b, graph_b = encode g in
+  let dict' = Seg.decode_dict dict_b in
+  check "dict round-trip" true (dict = dict');
+  let g' = Seg.decode_graph ~dict:dict' graph_b in
   (* node identities survive exactly, not just up to bisimilarity *)
   check_int "same node count" (Graph.n_nodes g) (Graph.n_nodes g');
+  check_int "same edge count" (Graph.n_edges g) (Graph.n_edges g');
   check_int "same root" (Graph.root g) (Graph.root g');
-  check "same value" true (Ssd.Bisim.equal g g')
-
-let file_roundtrip () =
-  let g = Ssd_workload.Bibdb.generate ~n_papers:30 () in
-  let path = Filename.temp_file "ssd" ".bin" in
-  Codec.write_file path g;
-  let g' = Codec.read_file path in
-  Sys.remove path;
-  check "file round-trip" true (Ssd.Bisim.equal g g')
+  check "same value" true (Ssd.Bisim.equal g g');
+  (* Canonical: re-encoding the decode is byte-identical. *)
+  check "canonical bytes" true (Bytes.equal graph_b (Seg.encode_graph ~dict:dict' g'));
+  (* The store persists these bytes and fingerprints them: they must not
+     drift between versions. *)
+  check "dict bytes pinned" true
+    (Digest.to_hex (Digest.bytes dict_b) = "d91e503c7d9b421ce87bbef3bbc73845");
+  check "graph bytes pinned" true
+    (Digest.to_hex (Digest.bytes graph_b) = "bb8c5b55e42bb03c79392eba735d6c16")
 
 let corrupt_input_rejected () =
-  let rejects data =
-    match Codec.decode data with
-    | exception Codec.Corrupt _ -> true
+  let rejects f =
+    match f () with
+    | exception B.Corrupt _ -> true
     | _ -> false
   in
-  check "bad magic" true (rejects (Bytes.of_string "NOPE"));
-  check "empty" true (rejects Bytes.empty);
-  let good = Codec.encode (Ssd_workload.Movies.figure1 ()) in
-  check "truncated" true (rejects (Bytes.sub good 0 (Bytes.length good - 3)));
-  let trailing = Bytes.cat good (Bytes.of_string "xx") in
-  check "trailing bytes" true (rejects trailing)
+  let dict_b, graph_b = encode (Ssd_workload.Movies.figure1 ()) in
+  let dict = Seg.decode_dict dict_b in
+  let graph data () = Seg.decode_graph ~dict data in
+  check "bad magic" true (rejects (graph (Bytes.of_string "NOPE")));
+  check "empty" true (rejects (graph Bytes.empty));
+  check "truncated" true (rejects (graph (Bytes.sub graph_b 0 (Bytes.length graph_b - 3))));
+  check "trailing bytes" true (rejects (graph (Bytes.cat graph_b (Bytes.of_string "xx"))));
+  check "dictionary too short" true
+    (rejects (fun () -> Seg.decode_graph ~dict:(Array.sub dict 0 1) graph_b));
+  check "truncated dictionary" true
+    (rejects (fun () -> Seg.decode_dict (Bytes.sub dict_b 0 (Bytes.length dict_b - 1))));
+  check "unsorted dictionary" true
+    (rejects (fun () -> Seg.decode_dict (Seg.encode_dict [| "b"; "a" |])))
 
 let corrupt_diagnostics () =
   (* The exception carries where and what: offset of the defect plus
      expected/found descriptions. *)
-  (match Codec.decode (Bytes.of_string "NOPE") with
-  | exception Codec.Corrupt { offset; expected; found } ->
+  (match Seg.decode_graph ~dict:[||] (Bytes.of_string "NOPE") with
+  | exception B.Corrupt { offset; expected; found } ->
     check_int "magic offset" 0 offset;
-    check "mentions magic" true (expected = "magic \"SSD1\"");
+    check "mentions magic" true (expected = "magic \"SSDG\"");
     check "shows found bytes" true (found = "\"NOPE\"")
   | _ -> Alcotest.fail "bad magic accepted");
   (* A huge node count must be rejected against the bytes remaining, not
      allocated. *)
   let huge = Buffer.create 16 in
-  Buffer.add_string huge "SSD1";
+  Buffer.add_string huge "SSDG";
   Buffer.add_string huge "\xff\xff\xff\xff\x07";
   (* n_nodes varint *)
   Buffer.add_char huge '\x00';
   (* root *)
-  match Codec.decode (Buffer.to_bytes huge) with
-  | exception Codec.Corrupt _ -> ()
+  match Seg.decode_graph ~dict:[||] (Buffer.to_bytes huge) with
+  | exception B.Corrupt _ -> ()
   | _ -> Alcotest.fail "oversized node count accepted"
 
 (* Edge cases the crash-recovery work leans on: the one-node empty
    graph, a node of maximal arity, and labels containing NUL bytes,
    newlines and multi-byte UTF-8 — all must round-trip exactly through
-   both the wire codec and the store's segment codec. *)
+   the segment codec. *)
 let edge_case_roundtrips () =
-  let seg_roundtrip g =
-    let dict = Ssd_store.Seg.dict_of_graph g in
-    Ssd_store.Seg.decode_graph ~dict (Ssd_store.Seg.encode_graph ~dict g)
-  in
   let roundtrips what g =
     let same g' =
       Graph.n_nodes g = Graph.n_nodes g'
@@ -72,8 +96,7 @@ let edge_case_roundtrips () =
       && Graph.root g = Graph.root g'
       && Ssd.Bisim.equal g g'
     in
-    check (what ^ " (codec)") true (same (Codec.decode (Codec.encode g)));
-    check (what ^ " (segment)") true (same (seg_roundtrip g))
+    check (what ^ " (segment)") true (same (decode (encode g)))
   in
   roundtrips "empty graph" Graph.empty;
   (* one source fanning out to thousands of children *)
@@ -124,7 +147,7 @@ let string_table_shares () =
   let repeated = mk (List.init 50 (fun _ -> "longish_symbol_name")) in
   let distinct = mk (List.init 50 (fun i -> Printf.sprintf "longish_symbol_%03d" i)) in
   check "shared strings compress" true
-    (Codec.encoded_size repeated * 2 < Codec.encoded_size distinct)
+    (encoded_size repeated * 2 < encoded_size distinct)
 
 let paging_basics () =
   let g = Ssd_workload.Movies.generate ~n_entries:50 () in
@@ -162,12 +185,12 @@ let clustering_matters () =
 let properties =
   [
     qtest "encode/decode round-trip" graph (fun g ->
-        let g' = Codec.decode (Codec.encode g) in
+        let g' = decode (encode g) in
         Graph.n_nodes g = Graph.n_nodes g'
         && Graph.n_edges g = Graph.n_edges g'
         && Ssd.Bisim.equal g g');
     qtest "encoded size monotone-ish in edges" graph (fun g ->
-        Codec.encoded_size g >= Graph.n_nodes g);
+        encoded_size g >= Graph.n_nodes g);
     qtest "replay faults bounded" (Q.pair graph (Q.int_range 1 4)) (fun (g, buffer) ->
         let t = Pager.layout Pager.Bfs ~page_capacity:4 g in
         let walks = Pager.random_walks ~seed:3 ~n_walks:20 ~depth:6 g in
@@ -175,13 +198,6 @@ let properties =
         s.Pager.faults <= s.Pager.accesses
         && s.Pager.faults >= 1
         && s.Pager.accesses = List.length walks);
-    qtest "fuzzed decode round-trips or raises Corrupt" ~count:400 corrupted_encoding
-      (fun data ->
-        (* Any exception other than Codec.Corrupt escapes and fails the
-           property — that is the point. *)
-        match Codec.decode data with
-        | _ -> true
-        | exception Codec.Corrupt _ -> true);
     qtest "layouts are permutations" graph (fun g ->
         List.for_all
           (fun c ->
@@ -194,10 +210,40 @@ let properties =
           [ Pager.Insertion; Pager.Bfs; Pager.Dfs; Pager.Scatter 5 ]);
   ]
 
+(* Every segment decoder, fed mutated encodings of random graphs, either
+   decodes or raises [Bytesio.Corrupt]; any other exception escapes and
+   fails the property — that is the point. *)
+let fuzzed_decoders =
+  let case name encode decode =
+    qtest name ~count:400 (corrupted_encoding encode) (fun (g, data) ->
+        match decode g data with
+        | () -> true
+        | exception B.Corrupt _ -> true)
+  in
+  [
+    case "fuzzed decode round-trips or raises Corrupt"
+      (fun g -> snd (encode g))
+      (fun g data -> ignore (Seg.decode_graph ~dict:(Seg.dict_of_graph g) data));
+    case "fuzzed dict decode round-trips or raises Corrupt"
+      (fun g -> fst (encode g))
+      (fun _ data -> ignore (Seg.decode_dict data));
+    case "fuzzed guide decode round-trips or raises Corrupt"
+      (fun g -> Ssd_schema.Dataguide.(to_bytes (build g)))
+      (fun _ data -> ignore (Ssd_schema.Dataguide.of_bytes data));
+    case "fuzzed value-index decode round-trips or raises Corrupt"
+      (fun g -> Ssd_index.Value_index.(to_bytes (build g)))
+      (fun _ data -> ignore (Ssd_index.Value_index.of_bytes data));
+    case "fuzzed text-index decode round-trips or raises Corrupt"
+      (fun g -> Ssd_index.Text_index.(to_bytes (build g)))
+      (fun _ data -> ignore (Ssd_index.Text_index.of_bytes data));
+    case "fuzzed path-index decode round-trips or raises Corrupt"
+      (fun g -> Ssd_index.Path_index.(to_bytes (build ~depth:3 g)))
+      (fun _ data -> ignore (Ssd_index.Path_index.of_bytes data));
+  ]
+
 let tests =
   [
     Alcotest.test_case "codec round-trip figure1" `Quick roundtrip_fig1;
-    Alcotest.test_case "file round-trip" `Quick file_roundtrip;
     Alcotest.test_case "corrupt input rejected" `Quick corrupt_input_rejected;
     Alcotest.test_case "corrupt diagnostics" `Quick corrupt_diagnostics;
     Alcotest.test_case "pager rejects nonpositive capacities" `Quick (fun () ->
@@ -218,4 +264,4 @@ let tests =
     Alcotest.test_case "LRU behaviour" `Quick lru_behaviour;
     Alcotest.test_case "clustering matters" `Quick clustering_matters;
   ]
-  @ properties
+  @ properties @ fuzzed_decoders

@@ -10,7 +10,7 @@ module Disk = Ssd_fault.Disk
 module Vfs = Ssd_store.Vfs
 module Page = Ssd_store.Page
 module Wal = Ssd_store.Wal
-module Seg = Ssd_store.Seg
+module Seg = Ssd_storage.Seg
 module Store = Ssd_store.Store
 module Metrics = Ssd_obs.Metrics
 
