@@ -54,7 +54,7 @@ let existing_experiments path =
       match List.assoc_opt "experiments" kvs with
       | Some (J.Obj exps) -> exps
       | _ -> failwith (path ^ ": no \"experiments\" object"))
-    | _ | (exception J.Parse_error _) ->
+    | _ | (exception Ssd_diag.Fail _) ->
       failwith (Printf.sprintf "%s: not a version-%d bench record" path bench_version)
 
 (* Merges this run into [path]: an experiment run now replaces its old

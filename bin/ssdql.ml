@@ -99,14 +99,6 @@ let dump_stats fmt =
   | "json" -> print_endline (Ssd_obs.Metrics.dump_json Ssd_obs.Metrics.default)
   | _ -> print_string (Ssd_obs.Metrics.dump_text Ssd_obs.Metrics.default)
 
-(* Parse QUERY once for everything a subcommand does with it.  A syntax
-   error is reported like a lint finding: rendered on stderr, exit 1. *)
-let compile lang query_text =
-  try Lang.compile lang query_text
-  with Ssd_diag.Fail d ->
-    prerr_string (Ssd_diag.render [ d ]);
-    exit 1
-
 (* --lint[=warn|error]: run the static analyzer before evaluating.
    Findings go to stderr; in error mode an Error-severity finding stops
    the query (exit 1) before evaluation starts. *)
@@ -160,7 +152,7 @@ let query_cmd jobs data store_path lang lint explain use_cache repeat quiet stat
   Ssd_par.Pool.set_default_jobs jobs;
   let db, close_db = open_db ~what:"ssdql query" data store_path in
   at_exit close_db;
-  let c = compile lang query_text in
+  let c = Lang.compile lang query_text in
   lint_gate lint lang db c;
   if trace || trace_out <> None then begin
     Ssd_obs.Trace.enable ();
@@ -303,7 +295,7 @@ let est_over_histogram = Ssd_obs.Metrics.histogram "lint.card.est_over"
 let explain_cmd data lang format query_text =
   let db = load_data data in
   let annotated = Ssd_schema.Annotated.build db in
-  let c = compile lang query_text in
+  let c = Lang.compile lang query_text in
   let { Lang.card; plan = planned_text } =
     match Lang.estimate annotated c with
     | Some e -> e
@@ -521,23 +513,11 @@ let dist_cmd jobs data sites partition_kind seed faults deadline_ms max_steps fo
     Ssd_obs.Trace.enable ();
     Ssd_obs.Trace.name_lane 0 "coordinator"
   end;
-  let nfa =
-    try Ssd_automata.Nfa.of_string query_text
-    with e ->
-      Printf.eprintf "bad path query: %s\n" (Printexc.to_string e);
-      exit 2
-  in
-  let diag_exit f =
-    try f ()
-    with Ssd_diag.Fail d ->
-      prerr_endline (Ssd_diag.to_string d);
-      exit 2
-  in
+  let nfa = Ssd_automata.Nfa.of_string query_text in
   let part =
     match partition_kind with
-    | "bfs" -> diag_exit (fun () -> Ssd_dist.Decompose.partition_bfs ~k:sites db)
-    | "random" ->
-      diag_exit (fun () -> Ssd_dist.Decompose.partition_random ~seed ~k:sites db)
+    | "bfs" -> Ssd_dist.Decompose.partition_bfs ~k:sites db
+    | "random" -> Ssd_dist.Decompose.partition_random ~seed ~k:sites db
     | other ->
       Printf.eprintf "unknown partition %s (use bfs or random)\n" other;
       exit 2
@@ -545,7 +525,7 @@ let dist_cmd jobs data sites partition_kind seed faults deadline_ms max_steps fo
   let plan =
     match faults with
     | None -> Ssd_fault.Plan.none
-    | Some spec -> diag_exit (fun () -> Ssd_fault.Plan.parse spec)
+    | Some spec -> Ssd_fault.Plan.parse spec
   in
   let budget =
     if deadline_ms <> None || max_steps <> None then
@@ -590,7 +570,7 @@ let dist_cmd jobs data sites partition_kind seed faults deadline_ms max_steps fo
 let profile_cmd jobs data lang repeat format trace_out query_text =
   Ssd_par.Pool.set_default_jobs jobs;
   let db = load_data data in
-  let c = compile lang query_text in
+  let c = Lang.compile lang query_text in
   Ssd_obs.Trace.enable ();
   Ssd_obs.Trace.name_lane 0 "main";
   for _ = 1 to max 1 repeat do
@@ -1555,26 +1535,38 @@ let store_t =
     (Cmd.info "store" ~doc:"Manage crash-safe persistent graph stores (WAL + recovery)")
     [ init; stat; fsck; compact ]
 
+(* The one handler for typed failures: a syntax error in a query, a data
+   file or a schema, a rejected program or a runtime diagnostic is
+   rendered like a lint finding on stderr, exit 1.  Anything else is an
+   internal error (exit 125, as cmdliner reports it). *)
 let () =
   let doc = "semistructured data toolbox (Buneman, PODS'97 reproduction)" in
   let info = Cmd.info "ssdql" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            query_t;
-            check_t;
-            explain_t;
-            convert_t;
-            dataguide_t;
-            validate_t;
-            update_t;
-            stats_t;
-            gen_t;
-            dist_t;
-            profile_t;
-            serve_t;
-            subscribe_t;
-            top_t;
-            store_t;
-          ]))
+  match
+    Cmd.eval ~catch:false
+      (Cmd.group info
+         [
+           query_t;
+           check_t;
+           explain_t;
+           convert_t;
+           dataguide_t;
+           validate_t;
+           update_t;
+           stats_t;
+           gen_t;
+           dist_t;
+           profile_t;
+           serve_t;
+           subscribe_t;
+           top_t;
+           store_t;
+         ])
+  with
+  | code -> exit code
+  | exception Ssd_diag.Fail d ->
+    prerr_string (Ssd_diag.render [ d ]);
+    exit 1
+  | exception e ->
+    prerr_endline ("ssdql: internal error, uncaught exception: " ^ Printexc.to_string e);
+    exit Cmd.Exit.internal_error

@@ -10,8 +10,6 @@ type t =
   | Plus of t
   | Opt of t
 
-exception Parse_error of string
-
 (* Smart constructors normalize up to associativity, commutativity and
    idempotence of alternation (plus associativity of sequencing).  This is
    Brzozowski's similarity: it guarantees only finitely many distinct
@@ -103,6 +101,12 @@ let to_string r = Format.asprintf "%a" pp r
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Tokens are lexed on demand from the shared cursor, one lookahead at a
+   time, so a regex embedded in another language stops at the first
+   token it cannot use and leaves the cursor there.  [depth] counts the
+   parentheses lexed so far: a delimiter ('.' between UnQL pattern
+   steps, '>' closing an UnQL <regex>) ends the regex only at depth 0. *)
+
 type token =
   | Tbar
   | Tdot
@@ -118,134 +122,91 @@ type token =
   | Tcmp of string (* "<" "<=" ">" ">=" *)
   | Tfun of string (* startswith / contains *)
   | Tlabel of Label.t
-  | Teof
+  | Tend (* end of input, or a character no regex token starts with *)
 
-let tokenize src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" !pos msg)) in
-  let toks = ref [] in
-  let push t = toks := t :: !toks in
-  let lex_string () =
-    (* cursor on opening quote *)
-    incr pos;
-    let buf = Buffer.create 8 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match src.[!pos] with
-        | '"' -> incr pos
-        | '\\' when !pos + 1 < n ->
-          (match src.[!pos + 1] with
-           | 'n' -> Buffer.add_char buf '\n'
-           | 't' -> Buffer.add_char buf '\t'
-           | c -> Buffer.add_char buf c);
-          pos := !pos + 2;
-          loop ()
-        | c ->
-          Buffer.add_char buf c;
-          incr pos;
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let lex_ident () =
-    let start = !pos in
-    while !pos < n && Label.is_ident_char src.[!pos] do
-      incr pos
-    done;
-    String.sub src start (!pos - start)
-  in
-  while !pos < n do
-    match src.[!pos] with
-    | ' ' | '\t' | '\n' | '\r' -> incr pos
-    | '|' ->
-      incr pos;
-      push Tbar
-    | '.' ->
-      incr pos;
-      push Tdot
-    | '*' ->
-      incr pos;
-      push Tstar
-    | '+' ->
-      incr pos;
-      push Tplus
-    | '?' ->
-      incr pos;
-      push Tquestion
-    | '(' ->
-      incr pos;
-      push Tlparen
-    | ')' ->
-      incr pos;
-      push Trparen
-    | '~' ->
-      incr pos;
-      push Ttilde
-    | '&' ->
-      incr pos;
-      push Tamp
-    | '<' ->
-      if !pos + 1 < n && src.[!pos + 1] = '=' then begin
-        pos := !pos + 2;
-        push (Tcmp "<=")
-      end
-      else begin
-        incr pos;
-        push (Tcmp "<")
-      end
-    | '>' ->
-      if !pos + 1 < n && src.[!pos + 1] = '=' then begin
-        pos := !pos + 2;
-        push (Tcmp ">=")
-      end
-      else begin
-        incr pos;
-        push (Tcmp ">")
-      end
-    | '#' ->
-      incr pos;
-      push (Thash (lex_ident ()))
-    | '"' -> push (Tlabel (Label.Str (lex_string ())))
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      let numchar c = (c >= '0' && c <= '9') || c = '-' || c = 'e' || c = 'E' in
-      (* '.' is concatenation, so float literals are not lexable here;
-         use a fraction-free mantissa with an exponent if needed. *)
-      while !pos < n && numchar src.[!pos] do
-        incr pos
-      done;
-      let s = String.sub src start (!pos - start) in
-      (match int_of_string_opt s with
-       | Some i -> push (Tlabel (Label.Int i))
-       | None ->
-         (match float_of_string_opt s with
-          | Some f -> push (Tlabel (Label.Float f))
-          | None -> fail ("bad number " ^ s)))
-    | c when c = '_' && (!pos + 1 >= n || not (Label.is_ident_char src.[!pos + 1])) ->
-      incr pos;
-      push Tunderscore
-    | c when Label.is_ident_start c ->
-      let id = lex_ident () in
-      (match id with
-       | "true" -> push (Tlabel (Label.Bool true))
-       | "false" -> push (Tlabel (Label.Bool false))
-       | "startswith" | "contains" -> push (Tfun id)
-       | _ -> push (Tlabel (Label.Sym id)))
-    | c -> fail (Printf.sprintf "unexpected character %C" c)
-  done;
-  List.rev (Teof :: !toks)
+type stop =
+  | Stop_dot
+  | Stop_gt
+  | Stop_none
 
-type parser_state = { mutable toks : token list }
+type parser_state = {
+  c : Ssd.Scan.t;
+  stop : stop;
+  mutable depth : int;
+  mutable tok : token;
+  mutable lexed : bool; (* [tok] is the unconsumed token at [tok_start] *)
+  mutable tok_start : int;
+}
 
-let peek st = match st.toks with [] -> Teof | t :: _ -> t
+(* The token [t] of one character, consumed. *)
+let single c t =
+  Ssd.Scan.advance c;
+  t
 
-let shift st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+(* [<] or [<=] (resp. [>], [>=]), consumed. *)
+let cmp c ~one ~two =
+  if Ssd.Scan.peek_at c 1 = '=' then begin
+    c.Ssd.Scan.pos <- c.pos + 2;
+    Tcmp two
+  end
+  else single c (Tcmp one)
 
-let expect st tok msg =
-  if peek st = tok then shift st else raise (Parse_error msg)
+let lex st =
+  let c = st.c in
+  let module S = Ssd.Scan in
+  S.skip_space c;
+  st.tok_start <- c.pos;
+  match S.peek c with
+  | '.' when st.stop = Stop_dot && st.depth = 0 -> Tend
+  | '>' when st.stop = Stop_gt && st.depth = 0 -> Tend
+  | '|' -> single c Tbar
+  | '.' -> single c Tdot
+  | '*' -> single c Tstar
+  | '+' -> single c Tplus
+  | '?' -> single c Tquestion
+  | '(' ->
+    st.depth <- st.depth + 1;
+    single c Tlparen
+  | ')' ->
+    st.depth <- st.depth - 1;
+    single c Trparen
+  | '~' -> single c Ttilde
+  | '&' -> single c Tamp
+  | '<' -> cmp c ~one:"<" ~two:"<="
+  | '>' -> cmp c ~one:">" ~two:">="
+  | '#' ->
+    S.advance c;
+    Thash (S.word c)
+  | '_' when not (S.is_ident_char (S.peek_at c 1)) -> single c Tunderscore
+  | '"' -> Tlabel (Label.Str (S.string c))
+  | ch when S.is_number_start ch -> (
+    (* '.' is concatenation, so a float literal needs an exponent and no
+       fraction *)
+    match S.number ~frac:false c with
+    | S.Int i -> Tlabel (Label.Int i)
+    | S.Float f -> Tlabel (Label.Float f))
+  | ch when S.is_ident_start ch -> (
+    match S.word c with
+    | "true" -> Tlabel (Label.Bool true)
+    | "false" -> Tlabel (Label.Bool false)
+    | ("startswith" | "contains") as f -> Tfun f
+    | id -> Tlabel (Label.Sym id))
+  | _ -> Tend
+
+let peek st =
+  if not st.lexed then begin
+    st.tok <- lex st;
+    st.lexed <- true
+  end;
+  st.tok
+
+let shift st =
+  ignore (peek st);
+  st.lexed <- false
+
+let fail st msg = Ssd.Scan.fail ~at:st.tok_start st.c msg
+
+let expect st tok msg = if peek st = tok then shift st else fail st msg
 
 let parse_pred_arg st fname =
   expect st Tlparen (fname ^ " expects '('");
@@ -254,7 +215,7 @@ let parse_pred_arg st fname =
     | Tlabel (Label.Str s) ->
       shift st;
       s
-    | _ -> raise (Parse_error (fname ^ " expects a string argument"))
+    | _ -> fail st (fname ^ " expects a string argument")
   in
   expect st Trparen (fname ^ " expects ')'");
   s
@@ -290,7 +251,7 @@ let rec parse_pred_factor st =
       | Tlabel l ->
         shift st;
         l
-      | _ -> raise (Parse_error ("comparison " ^ op ^ " expects a label"))
+      | _ -> fail st ("comparison " ^ op ^ " expects a label")
     in
     (match op with
      | "<" -> Lpred.Lt l
@@ -300,7 +261,7 @@ let rec parse_pred_factor st =
   | Tlabel l ->
     shift st;
     Lpred.Exact l
-  | _ -> raise (Parse_error "expected a label predicate")
+  | _ -> fail st "expected a label predicate"
 
 and parse_pred_inner st =
   let rec conj acc =
@@ -311,8 +272,6 @@ and parse_pred_inner st =
     else acc
   in
   conj (parse_pred_factor st)
-
-let parse_pred = parse_pred_inner
 
 let rec parse_alt st =
   let left = parse_seq st in
@@ -355,10 +314,18 @@ and parse_prim st =
     let r = parse_alt st in
     expect st Trparen "expected ')'";
     r
-  | _ -> Atom (parse_pred st)
+  | _ -> Atom (parse_pred_inner st)
+
+let read ?(stop = Stop_none) c =
+  let st = { c; stop; depth = 0; tok = Tend; lexed = false; tok_start = c.pos } in
+  let r = parse_alt st in
+  (* hand the unconsumed lookahead back to the caller *)
+  if st.lexed then c.pos <- st.tok_start;
+  r
 
 let parse src =
-  let st = { toks = tokenize src } in
-  let r = parse_alt st in
-  expect st Teof "trailing input after regular expression";
+  let c = Ssd.Scan.make ~code:"SSD006" src in
+  let r = read c in
+  Ssd.Scan.skip_space c;
+  if not (Ssd.Scan.eof c) then Ssd.Scan.fail c "trailing input after regular expression";
   r

@@ -27,9 +27,23 @@ type t =
   | Plus of t
   | Opt of t
 
-exception Parse_error of string
-
+(** A syntax error raises {!Ssd_diag.Fail} with code SSD006 and the span
+    of the failing offset. *)
 val parse : string -> t
+
+(** Where a regex embedded in another language ends: at the first token
+    no regex can continue with, and also at a ['.'] ([Stop_dot], the
+    step separator of UnQL patterns) or a ['>'] ([Stop_gt], closing an
+    UnQL [<regex>]) outside parentheses. *)
+type stop =
+  | Stop_dot
+  | Stop_gt
+  | Stop_none
+
+(** [read ?stop c] parses a regex at the cursor and leaves the cursor
+    just after it.  Errors carry the cursor's code and point into the
+    cursor's whole source. *)
+val read : ?stop:stop -> Ssd.Scan.t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

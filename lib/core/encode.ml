@@ -1,4 +1,5 @@
-exception Ill_formed of string
+(* A tree or relation outside the image of the coding. *)
+let ill_formed fmt = Ssd_diag.error ~code:"SSD522" fmt
 
 (* ------------------------------------------------------------------ *)
 (* Relational databases                                                *)
@@ -16,7 +17,7 @@ let tuple_sym = Label.Sym "tuple"
 
 let tree_of_row attrs row =
   if List.length attrs <> List.length row then
-    raise (Ill_formed "row arity does not match attribute list");
+    ill_formed "row arity does not match attribute list";
   Tree.of_edges (List.map2 (fun a v -> (Label.Sym a, Tree.leaf v)) attrs row)
 
 let tree_of_relation r =
@@ -29,16 +30,16 @@ let tree_of_database db =
 let leaf_value where t =
   match Tree.edges t with
   | [ (v, sub) ] when Tree.is_empty sub -> v
-  | _ -> raise (Ill_formed (where ^ ": expected a single leaf value"))
+  | _ -> ill_formed "%s: expected a single leaf value" where
 
 let row_of_tree ~name attrs t =
   List.map
     (fun a ->
       match Tree.subtrees_with_label t (Label.Sym a) with
       | [ sub ] -> leaf_value (name ^ "." ^ a) sub
-      | [] -> raise (Ill_formed (Printf.sprintf "%s: missing attribute %s" name a))
+      | [] -> ill_formed "%s: missing attribute %s" name a
       | _ :: _ :: _ ->
-        raise (Ill_formed (Printf.sprintf "%s: duplicate attribute %s" name a)))
+        ill_formed "%s: duplicate attribute %s" name a)
     attrs
 
 let attrs_of_tuple t =
@@ -46,7 +47,7 @@ let attrs_of_tuple t =
   |> List.map (fun (l, _) ->
          match l with
          | Label.Sym a -> a
-         | l -> raise (Ill_formed ("non-symbol attribute " ^ Label.to_string l)))
+         | l -> ill_formed "non-symbol attribute %s" (Label.to_string l))
   |> List.sort_uniq String.compare
 
 let relation_of_tree ~name t =
@@ -54,7 +55,7 @@ let relation_of_tree ~name t =
     Tree.edges t
     |> List.map (fun (l, sub) ->
            if Label.equal l tuple_sym then sub
-           else raise (Ill_formed (name ^ ": expected only tuple edges")))
+           else ill_formed "%s: expected only tuple edges" name)
   in
   let attrs =
     match tuples with
@@ -64,7 +65,7 @@ let relation_of_tree ~name t =
       List.iter
         (fun t ->
           if attrs_of_tuple t <> a0 then
-            raise (Ill_formed (name ^ ": tuples disagree on attributes")))
+            ill_formed "%s: tuples disagree on attributes" name)
         rest;
       a0
   in
@@ -75,7 +76,7 @@ let database_of_tree t =
   |> List.map (fun (l, sub) ->
          match l with
          | Label.Sym name -> relation_of_tree ~name sub
-         | l -> raise (Ill_formed ("non-symbol relation name " ^ Label.to_string l)))
+         | l -> ill_formed "non-symbol relation name %s" (Label.to_string l))
 
 (* ------------------------------------------------------------------ *)
 (* Object-oriented databases                                           *)
@@ -100,7 +101,7 @@ let graph_of_objects ~roots objs =
   List.iter
     (fun o ->
       if Hashtbl.mem by_oid o.oid then
-        raise (Ill_formed (Printf.sprintf "duplicate oid %d" o.oid));
+        ill_formed "duplicate oid %d" o.oid;
       Hashtbl.add by_oid o.oid o)
     objs;
   (* Allocate one graph node per object up front so Ref edges can share. *)
@@ -109,7 +110,7 @@ let graph_of_objects ~roots objs =
   let target_of_oid where oid =
     match Hashtbl.find_opt node_of_oid oid with
     | Some n -> n
-    | None -> raise (Ill_formed (Printf.sprintf "%s: dangling reference to oid %d" where oid))
+    | None -> ill_formed "%s: dangling reference to oid %d" where oid
   in
   let rec field_target where = function
     | Base v ->
@@ -139,7 +140,7 @@ let graph_of_objects ~roots objs =
       let o =
         match Hashtbl.find_opt by_oid oid with
         | Some o -> o
-        | None -> raise (Ill_formed (Printf.sprintf "unknown root oid %d" oid))
+        | None -> ill_formed "unknown root oid %d" oid
       in
       Graph.Builder.add_edge b root (Label.Sym o.cls) (target_of_oid "root" oid))
     roots;

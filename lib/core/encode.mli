@@ -19,9 +19,8 @@ type relation = {
 
 type database = relation list
 
-exception Ill_formed of string
-(** Raised by {!relation_of_tree} when the tree does not conform to the
-    relational coding. *)
+(** The decoders raise {!Ssd_diag.Fail} with code SSD522 when the input
+    does not conform to the coding. *)
 
 (** [tree_of_database db] encodes each relation [R(a₁..aₙ)] as
 
@@ -34,7 +33,7 @@ val tree_of_database : database -> Tree.t
 val tree_of_relation : relation -> Tree.t
 
 (** Partial inverse of {!tree_of_database}.
-    @raise Ill_formed if the tree is not in the image of the coding. *)
+    @raise Ssd_diag.Fail (SSD522) if the tree is not in the image of the coding. *)
 val database_of_tree : Tree.t -> database
 
 val relation_of_tree : name:string -> Tree.t -> relation
@@ -65,5 +64,5 @@ type obj = {
       (sharing — this is where object identity matters);
     - a set field becomes a node with one [member] edge per element.
 
-    @raise Ill_formed on a dangling [Ref]. *)
+    @raise Ssd_diag.Fail (SSD522) on a dangling [Ref]. *)
 val graph_of_objects : roots:int list -> obj list -> Graph.t

@@ -7,144 +7,65 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
-
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type lexer = { src : string; mutable pos : int }
+(* JSON's own escapes on top of the shared table.  [\uXXXX] is kept as
+   literal text; full unicode handling is out of scope for the
+   exchange-format demonstration. *)
+let escapes = [ ('b', "\b"); ('f', "\012"); ('u', "\\u") ]
 
-let fail lx msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" lx.pos msg))
+let expect c ch =
+  Scan.skip_space c;
+  if Scan.peek c = ch then Scan.advance c
+  else Scan.fail c (Printf.sprintf "expected %C" ch)
 
-let peek lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+let literal c word value = if Scan.eat c word then value else Scan.fail c ("expected " ^ word)
 
-let rec skip_ws lx =
-  match peek lx with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    lx.pos <- lx.pos + 1;
-    skip_ws lx
-  | _ -> ()
-
-let expect lx c =
-  skip_ws lx;
-  match peek lx with
-  | Some c' when c' = c -> lx.pos <- lx.pos + 1
-  | _ -> fail lx (Printf.sprintf "expected %C" c)
-
-let parse_literal lx word value =
-  if
-    lx.pos + String.length word <= String.length lx.src
-    && String.sub lx.src lx.pos (String.length word) = word
-  then begin
-    lx.pos <- lx.pos + String.length word;
-    value
+(* [item] after '[' / '{', then ("," item)* and the closing [close]. *)
+let sequence c close item =
+  Scan.skip_space c;
+  if Scan.peek c = close then (Scan.advance c; [])
+  else begin
+    let items = ref [ item () ] in
+    Scan.skip_space c;
+    while Scan.eat c "," do
+      items := item () :: !items;
+      Scan.skip_space c
+    done;
+    expect c close;
+    List.rev !items
   end
-  else fail lx ("expected " ^ word)
 
-let parse_string_body lx =
-  expect lx '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek lx with
-    | None -> fail lx "unterminated string"
-    | Some '"' -> lx.pos <- lx.pos + 1
-    | Some '\\' ->
-      lx.pos <- lx.pos + 1;
-      (match peek lx with
-       | Some 'n' -> Buffer.add_char buf '\n'
-       | Some 't' -> Buffer.add_char buf '\t'
-       | Some 'r' -> Buffer.add_char buf '\r'
-       | Some 'b' -> Buffer.add_char buf '\b'
-       | Some 'f' -> Buffer.add_char buf '\012'
-       | Some 'u' ->
-         (* Keep \uXXXX escapes as literal text; full unicode handling is
-            out of scope for the exchange-format demonstration. *)
-         Buffer.add_string buf "\\u"
-       | Some c -> Buffer.add_char buf c
-       | None -> fail lx "unterminated escape");
-      lx.pos <- lx.pos + 1;
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
-      lx.pos <- lx.pos + 1;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let parse_number lx =
-  let start = lx.pos in
-  let numchar c = (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E' in
-  while (match peek lx with Some c -> numchar c | None -> false) do
-    lx.pos <- lx.pos + 1
-  done;
-  let s = String.sub lx.src start (lx.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None ->
-    (match float_of_string_opt s with
-     | Some f -> Float f
-     | None -> fail lx ("bad number " ^ s))
-
-let rec parse_value lx =
-  skip_ws lx;
-  match peek lx with
-  | None -> fail lx "unexpected end of input"
-  | Some 'n' -> parse_literal lx "null" Null
-  | Some 't' -> parse_literal lx "true" (Bool true)
-  | Some 'f' -> parse_literal lx "false" (Bool false)
-  | Some '"' -> String (parse_string_body lx)
-  | Some '[' ->
-    lx.pos <- lx.pos + 1;
-    skip_ws lx;
-    if peek lx = Some ']' then begin
-      lx.pos <- lx.pos + 1;
-      List []
-    end
-    else begin
-      let items = ref [ parse_value lx ] in
-      skip_ws lx;
-      while peek lx = Some ',' do
-        lx.pos <- lx.pos + 1;
-        items := parse_value lx :: !items;
-        skip_ws lx
-      done;
-      expect lx ']';
-      List (List.rev !items)
-    end
-  | Some '{' ->
-    lx.pos <- lx.pos + 1;
-    skip_ws lx;
-    if peek lx = Some '}' then begin
-      lx.pos <- lx.pos + 1;
-      Obj []
-    end
-    else begin
-      let member () =
-        skip_ws lx;
-        let k = parse_string_body lx in
-        expect lx ':';
-        let v = parse_value lx in
-        (k, v)
-      in
-      let items = ref [ member () ] in
-      skip_ws lx;
-      while peek lx = Some ',' do
-        lx.pos <- lx.pos + 1;
-        items := member () :: !items;
-        skip_ws lx
-      done;
-      expect lx '}';
-      Obj (List.rev !items)
-    end
-  | Some c -> if c = '-' || (c >= '0' && c <= '9') then parse_number lx else fail lx "unexpected character"
+let rec parse_value c =
+  Scan.skip_space c;
+  match Scan.peek c with
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> String (Scan.string ~extra:escapes c)
+  | '[' ->
+    Scan.advance c;
+    List (sequence c ']' (fun () -> parse_value c))
+  | '{' ->
+    Scan.advance c;
+    let member () =
+      Scan.skip_space c;
+      let k = Scan.string ~extra:escapes c in
+      expect c ':';
+      (k, parse_value c)
+    in
+    Obj (sequence c '}' member)
+  | ch when Scan.is_number_start ch -> (
+    match Scan.number c with Scan.Int i -> Int i | Scan.Float f -> Float f)
+  | _ -> if Scan.eof c then Scan.fail c "unexpected end of input" else Scan.fail c "unexpected character"
 
 let parse src =
-  let lx = { src; pos = 0 } in
-  let v = parse_value lx in
-  skip_ws lx;
-  if peek lx <> None then fail lx "trailing input";
+  let c = Scan.make ~code:"SSD004" src in
+  let v = parse_value c in
+  Scan.skip_space c;
+  if not (Scan.eof c) then Scan.fail c "trailing input";
   v
 
 (* ------------------------------------------------------------------ *)
@@ -155,10 +76,7 @@ let rec pp fmt = function
   | Null -> Format.pp_print_string fmt "null"
   | Bool b -> Format.pp_print_bool fmt b
   | Int i -> Format.pp_print_int fmt i
-  | Float f ->
-    let s = string_of_float f in
-    let s = if String.length s > 0 && s.[String.length s - 1] = '.' then s ^ "0" else s in
-    Format.pp_print_string fmt s
+  | Float f -> Format.pp_print_string fmt (Label.float_to_string f)
   | String s -> Format.pp_print_string fmt (Label.to_string (Label.Str s))
   | List items ->
     Format.fprintf fmt "@[<hv 1>[";
@@ -187,12 +105,7 @@ let to_compact_string v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-      let s = string_of_float f in
-      let s =
-        if String.length s > 0 && s.[String.length s - 1] = '.' then s ^ "0" else s
-      in
-      Buffer.add_string buf s
+    | Float f -> Buffer.add_string buf (Label.float_to_string f)
     | String s -> Buffer.add_string buf (Label.to_string (Label.Str s))
     | List items ->
       Buffer.add_char buf '[';

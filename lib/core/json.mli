@@ -26,8 +26,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
-
+(** A syntax error raises {!Ssd_diag.Fail} with code SSD004 and the
+    span of the failing offset. *)
 val parse : string -> t
 val to_string : t -> string
 

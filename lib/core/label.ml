@@ -65,57 +65,43 @@ let escape_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+(* The shortest precision from 12 up that reads back to the same float.
+   Twelve digits first keeps every float [string_of_float] already
+   printed exactly byte-identical; a trailing ".0" keeps an integral
+   value a float literal.  -0.0 is the label 0.0 ([compare] equates
+   them), so it prints as 0.0 whichever of the two a set kept. *)
+let float_to_string f =
+  let f = if f = 0.0 then 0.0 else f in
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || Float.equal (float_of_string s) f then s else go (p + 1)
+  in
+  let s = go 12 in
+  if String.for_all (fun ch -> ch = '-' || (ch >= '0' && ch <= '9')) s then s ^ ".0" else s
+
 let to_string = function
   | Int i -> string_of_int i
-  | Float f ->
-    (* Keep a trailing part so the literal re-parses as a float. *)
-    let s = string_of_float f in
-    if String.length s > 0 && s.[String.length s - 1] = '.' then s ^ "0" else s
+  | Float f -> float_to_string f
   | Str s -> escape_string s
   | Bool b -> string_of_bool b
   | Sym s -> s
 
 let pp fmt l = Format.pp_print_string fmt (to_string l)
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '-' || c = '\''
-
-let unescape_string s =
-  (* [s] includes the surrounding quotes. *)
-  let n = String.length s in
-  if n < 2 || s.[0] <> '"' || s.[n - 1] <> '"' then failwith ("Label.of_string: bad string literal " ^ s);
-  let buf = Buffer.create (n - 2) in
-  let rec loop i =
-    if i >= n - 1 then ()
-    else if s.[i] = '\\' && i + 1 < n - 1 then begin
-      (match s.[i + 1] with
-       | 'n' -> Buffer.add_char buf '\n'
-       | 't' -> Buffer.add_char buf '\t'
-       | 'r' -> Buffer.add_char buf '\r'
-       | c -> Buffer.add_char buf c);
-      loop (i + 2)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      loop (i + 1)
-    end
-  in
-  loop 1;
-  Buffer.contents buf
+let read c =
+  match Scan.peek c with
+  | '"' -> Str (Scan.string c)
+  | ch when Scan.is_number_start ch -> (
+    match Scan.number c with Scan.Int i -> Int i | Scan.Float f -> Float f)
+  | ch when Scan.is_ident_start ch -> (
+    match Scan.word c with "true" -> Bool true | "false" -> Bool false | w -> Sym w)
+  | _ -> Scan.fail c "expected a label"
 
 let of_string s =
-  let s = String.trim s in
-  if s = "" then failwith "Label.of_string: empty input"
-  else if s = "true" then Bool true
-  else if s = "false" then Bool false
-  else if s.[0] = '"' then Str (unescape_string s)
-  else
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None ->
-      (match float_of_string_opt s with
-       | Some f -> Float f
-       | None ->
-         if is_ident_start s.[0] && String.for_all is_ident_char s then Sym s
-         else failwith ("Label.of_string: cannot parse " ^ s))
+  match String.trim s with
+  | ("nan" | "-nan" | "inf" | "-inf") as s -> Float (float_of_string s)
+  | s ->
+    let c = Scan.make ~code:"SSD004" s in
+    let l = read c in
+    if not (Scan.eof c) then Scan.fail c "trailing input after the label";
+    l

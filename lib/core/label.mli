@@ -24,8 +24,9 @@ val str : string -> t
 val bool : bool -> t
 val sym : string -> t
 
-(** Total order on labels (constructor order first, then value order).
-    Used to give trees their set semantics via sorted edge lists. *)
+(** Total order on labels (constructor order first, then value order;
+    [-0.0] and [0.0] are one label, and so are all NaNs).  Used to give
+    trees their set semantics via sorted edge lists. *)
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
@@ -50,18 +51,25 @@ val type_name : t -> string
 (** {1 Printing and parsing} *)
 
 (** [to_string l] prints in the concrete data syntax: symbols bare
-    ([Movie]), strings quoted (["Casablanca"]), numbers and booleans as
-    literals. *)
+    ([Movie]), strings quoted and escaped (["Casablanca"]), numbers and
+    booleans as literals.  A float prints with the fewest significant
+    digits (at least 12) that read back to the same float, so
+    [of_string (to_string l)] equals [l] for every non-symbol label. *)
 val to_string : t -> string
+
+(** The float part of {!to_string}: [1.0], [0.1], [1e+16], [nan], [-inf];
+    [-0.0] prints as [0.0], the label it equals. *)
+val float_to_string : float -> string
 
 val pp : Format.formatter -> t -> unit
 
-(** [of_string s] parses a single label literal; inverse of {!to_string} on
-    well-formed input.  Raises [Failure] on malformed input. *)
+(** [read c] reads one label literal at the cursor: a string, a number,
+    [true]/[false] or a symbol identifier; fails through {!Scan.fail}
+    otherwise. *)
+val read : Scan.t -> t
+
+(** [of_string s] parses a single label literal (surrounding blanks
+    allowed), and [nan], [inf], [-inf] as floats; inverse of
+    {!to_string} on well-formed input.  Raises {!Ssd_diag.Fail} (SSD004)
+    on malformed input. *)
 val of_string : string -> t
-
-(** Character classes of symbol identifiers, shared by the data-syntax and
-    query-language lexers. *)
-
-val is_ident_start : char -> bool
-val is_ident_char : char -> bool

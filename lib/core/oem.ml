@@ -19,8 +19,6 @@ and member =
   | Obj of t
   | Ref of string
 
-exception Parse_error of string
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -66,166 +64,110 @@ let to_string o = Format.asprintf "%a" pp o
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type pstate = {
-  src : string;
-  mutable pos : int;
-}
+let eat c ch msg =
+  Scan.skip_space c;
+  if Scan.peek c = ch then Scan.advance c else Scan.fail c msg
 
-let fail st msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" st.pos msg))
+let lex_ident c =
+  Scan.skip_space c;
+  Scan.ident c
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    st.pos <- st.pos + 1;
-    skip_ws st
-  | _ -> ()
-
-let eat st c msg =
-  skip_ws st;
-  match peek st with
-  | Some c' when c' = c -> st.pos <- st.pos + 1
-  | _ -> fail st msg
-
-let lex_ident st =
-  skip_ws st;
-  let start = st.pos in
-  while
-    match peek st with
-    | Some c -> Label.is_ident_char c
-    | None -> false
-  do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then fail st "expected an identifier";
-  String.sub st.src start (st.pos - start)
-
-let lex_atom st =
-  skip_ws st;
-  match peek st with
-  | Some '"' ->
-    let buf = Buffer.create 16 in
-    st.pos <- st.pos + 1;
-    let rec loop () =
-      match peek st with
-      | None -> fail st "unterminated string"
-      | Some '"' -> st.pos <- st.pos + 1
-      | Some '\\' ->
-        st.pos <- st.pos + 1;
-        (match peek st with
-         | Some 'n' -> Buffer.add_char buf '\n'
-         | Some 't' -> Buffer.add_char buf '\t'
-         | Some c -> Buffer.add_char buf c
-         | None -> fail st "unterminated escape");
-        st.pos <- st.pos + 1;
-        loop ()
-      | Some c ->
-        Buffer.add_char buf c;
-        st.pos <- st.pos + 1;
-        loop ()
-    in
-    loop ();
-    Label.Str (Buffer.contents buf)
-  | Some c when c = '-' || (c >= '0' && c <= '9') ->
-    let start = st.pos in
-    let numchar c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek st with Some c -> numchar c | None -> false) do
-      st.pos <- st.pos + 1
-    done;
-    let s = String.sub st.src start (st.pos - start) in
-    (match int_of_string_opt s with
-     | Some i -> Label.Int i
-     | None ->
-       (match float_of_string_opt s with
-        | Some f -> Label.Float f
-        | None -> fail st ("bad number " ^ s)))
-  | Some c when Label.is_ident_start c -> (
-    match lex_ident st with
-    | "true" -> Label.Bool true
-    | "false" -> Label.Bool false
-    | w -> fail st ("expected an atomic value, got " ^ w))
-  | _ -> fail st "expected an atomic value"
+let lex_atom c =
+  Scan.skip_space c;
+  let at = c.Scan.pos in
+  match Label.read c with
+  | Label.Sym w -> Scan.fail ~at c ("expected an atomic value, got " ^ w)
+  | l -> l
 
 (* Labels are usually identifiers, but base labels from the graph side
    appear in label position too (quoted strings, numbers, booleans); keep
    their literal text so the graph mapping can re-parse them. *)
-let lex_oem_label st =
-  skip_ws st;
-  match peek st with
-  | Some c when Label.is_ident_start c -> lex_ident st
-  | _ -> Label.to_string (lex_atom st)
+let lex_oem_label c =
+  Scan.skip_space c;
+  if Scan.is_ident_start (Scan.peek c) then lex_ident c else Label.to_string (lex_atom c)
 
-let rec parse_obj st =
-  skip_ws st;
-  let oid =
-    if peek st = Some '&' then begin
-      st.pos <- st.pos + 1;
-      Some (lex_ident st)
-    end
-    else None
-  in
-  eat st '<' "expected '<'";
-  let label = lex_oem_label st in
-  eat st ',' "expected ',' after the label";
-  let tname = lex_ident st in
-  eat st ',' "expected ',' after the type";
+(* [defined] and [refs] record each [&id] binder and reference with its
+   span, checked once the document is read. *)
+let rec parse_obj c ~defined ~refs =
+  Scan.skip_space c;
+  let at = c.pos in
+  let oid = if Scan.eat c "&" then Some (lex_ident c) else None in
+  Option.iter
+    (fun id ->
+      if Hashtbl.mem defined id then
+        Scan.fail ~at c (Printf.sprintf "object id &%s bound twice" id);
+      Hashtbl.add defined id ())
+    oid;
+  eat c '<' "expected '<'";
+  let label = lex_oem_label c in
+  eat c ',' "expected ',' after the label";
+  let tat = (Scan.skip_space c; c.pos) in
+  let tname = lex_ident c in
+  let tstop = c.pos in
+  eat c ',' "expected ',' after the type";
   let value =
     match tname with
     | "set" ->
-      eat st '{' "set value expects '{'";
-      skip_ws st;
-      if peek st = Some '}' then begin
-        st.pos <- st.pos + 1;
-        Objects []
-      end
+      eat c '{' "set value expects '{'";
+      Scan.skip_space c;
+      if Scan.eat c "}" then Objects []
       else begin
         let member () =
-          skip_ws st;
-          if peek st = Some '&' then begin
+          Scan.skip_space c;
+          if Scan.peek c = '&' then begin
             (* Could be a reference (&id) or a bound object (&id <...>). *)
-            let saved = st.pos in
-            st.pos <- st.pos + 1;
-            let id = lex_ident st in
-            skip_ws st;
-            if peek st = Some '<' then begin
-              st.pos <- saved;
-              Obj (parse_obj st)
+            let saved = c.pos in
+            Scan.advance c;
+            let id = lex_ident c in
+            let stop = c.pos in
+            Scan.skip_space c;
+            if Scan.peek c = '<' then begin
+              c.pos <- saved;
+              Obj (parse_obj c ~defined ~refs)
             end
-            else Ref id
+            else begin
+              refs := (id, saved, stop) :: !refs;
+              Ref id
+            end
           end
-          else Obj (parse_obj st)
+          else Obj (parse_obj c ~defined ~refs)
         in
         let members = ref [ member () ] in
-        skip_ws st;
-        while peek st = Some ',' do
-          st.pos <- st.pos + 1;
+        Scan.skip_space c;
+        while Scan.eat c "," do
           members := member () :: !members;
-          skip_ws st
+          Scan.skip_space c
         done;
-        eat st '}' "expected '}' closing the set";
+        eat c '}' "expected '}' closing the set";
         Objects (List.rev !members)
       end
     | "int" | "real" | "str" | "bool" ->
-      let l = lex_atom st in
+      let at = (Scan.skip_space c; c.pos) in
+      let l = lex_atom c in
+      let stop = c.pos in
       let declared =
         match tname with "int" -> Int | "real" -> Real | "str" -> Str | _ -> Bool
       in
       if type_of_atom l <> declared then
-        fail st (Printf.sprintf "value %s does not have declared type %s" (atom_literal l) tname);
+        Scan.fail ~at ~stop c
+          (Printf.sprintf "value %s does not have declared type %s" (atom_literal l) tname);
       Atom l
-    | t -> fail st ("unknown OEM type " ^ t)
+    | t -> Scan.fail ~at:tat ~stop:tstop c ("unknown OEM type " ^ t)
   in
-  eat st '>' "expected '>' closing the object";
+  eat c '>' "expected '>' closing the object";
   { oid; label; value }
 
 let parse src =
-  let st = { src; pos = 0 } in
-  let o = parse_obj st in
-  skip_ws st;
-  if peek st <> None then fail st "trailing input after object";
+  let c = Scan.make ~code:"SSD004" src in
+  let defined = Hashtbl.create 8 and refs = ref [] in
+  let o = parse_obj c ~defined ~refs in
+  Scan.skip_space c;
+  if not (Scan.eof c) then Scan.fail c "trailing input after object";
+  List.iter
+    (fun (id, at, stop) ->
+      if not (Hashtbl.mem defined id) then
+        Scan.fail ~at ~stop c (Printf.sprintf "reference &%s has no definition" id))
+    (List.rev !refs);
   o
 
 (* ------------------------------------------------------------------ *)
@@ -235,14 +177,13 @@ let parse src =
 let label_of_oem_label s =
   match Label.of_string s with
   | l -> l
-  | exception Failure _ -> Label.Sym s
+  | exception Ssd_diag.Fail _ -> Label.Sym s
 
 let to_graph doc =
   let b = Graph.Builder.create () in
   let root = Graph.Builder.add_node b in
   Graph.Builder.set_root b root;
   let oids : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let pending_refs = ref [] in
   let node_for_oid id =
     match Hashtbl.find_opt oids id with
     | Some n -> n
@@ -251,17 +192,8 @@ let to_graph doc =
       Hashtbl.add oids id n;
       n
   in
-  let bound : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let rec emit parent o =
-    let node =
-      match o.oid with
-      | Some id ->
-        if Hashtbl.mem bound id then
-          raise (Parse_error (Printf.sprintf "object id &%s bound twice" id));
-        Hashtbl.add bound id ();
-        node_for_oid id
-      | None -> Graph.Builder.add_node b
-    in
+    let node = match o.oid with Some id -> node_for_oid id | None -> Graph.Builder.add_node b in
     Graph.Builder.add_edge b parent (label_of_oem_label o.label) node;
     (match o.value with
      | Atom l ->
@@ -272,17 +204,11 @@ let to_graph doc =
          (function
            | Obj o' -> emit node o'
            | Ref id ->
-             pending_refs := id :: !pending_refs;
              (* a reference splices the target's content: ε-edge *)
              Graph.Builder.add_eps b node (node_for_oid id))
          members)
   in
   emit root doc;
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem bound id) then
-        raise (Parse_error (Printf.sprintf "reference &%s has no definition" id)))
-    !pending_refs;
   Graph.gc (Graph.Builder.finish b)
 
 let of_graph ?(top = "db") g =

@@ -50,15 +50,16 @@ and member =
   | Obj of t
   | Ref of string (** [&id] reference *)
 
-exception Parse_error of string
-
+(** A syntax error, a dangling [&id] reference or an object id bound
+    twice raises {!Ssd_diag.Fail} with code SSD004 and the span of the
+    failing offset. *)
 val parse : string -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Decode an OEM document into a data graph (the document's object is
-    the single edge out of the root).
-    @raise Parse_error on dangling references. *)
+    the single edge out of the root).  The document is one {!parse}
+    accepted or {!of_graph} built, so its references resolve. *)
 val to_graph : t -> Graph.t
 
 (** Encode a graph as an OEM document under the given top label.  Nodes

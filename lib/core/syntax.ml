@@ -1,235 +1,99 @@
-exception Parse_error of string
-
-type token =
-  | Lbrace
-  | Rbrace
-  | Comma
-  | Colon
-  | Amp of string
-  | Star of string
-  | Tlabel of Label.t
-  | Eof
-
-(* ------------------------------------------------------------------ *)
-(* Lexer                                                               *)
-(* ------------------------------------------------------------------ *)
-
-type lexer = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-}
-
-let error lx msg =
-  raise (Parse_error (Printf.sprintf "line %d: %s" lx.line msg))
-
-let peek_char lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
-
-let advance lx =
-  (match peek_char lx with Some '\n' -> lx.line <- lx.line + 1 | _ -> ());
-  lx.pos <- lx.pos + 1
-
-let rec skip_ws lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance lx;
-    skip_ws lx
-  | Some '#' ->
-    while peek_char lx <> None && peek_char lx <> Some '\n' do
-      advance lx
-    done;
-    skip_ws lx
-  | _ -> ()
-
-let lex_string lx =
-  let buf = Buffer.create 16 in
-  advance lx;
-  (* opening quote *)
-  let rec loop () =
-    match peek_char lx with
-    | None -> error lx "unterminated string literal"
-    | Some '"' -> advance lx
-    | Some '\\' ->
-      advance lx;
-      (match peek_char lx with
-       | Some 'n' -> Buffer.add_char buf '\n'
-       | Some 't' -> Buffer.add_char buf '\t'
-       | Some 'r' -> Buffer.add_char buf '\r'
-       | Some c -> Buffer.add_char buf c
-       | None -> error lx "unterminated escape");
-      advance lx;
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
-      advance lx;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let lex_ident lx =
-  let start = lx.pos in
-  while
-    match peek_char lx with
-    | Some c -> Label.is_ident_char c
-    | None -> false
-  do
-    advance lx
-  done;
-  String.sub lx.src start (lx.pos - start)
-
-let lex_number lx =
-  let start = lx.pos in
-  let is_num_char c =
-    (c >= '0' && c <= '9') || c = '.' || c = '-' || c = '+' || c = 'e' || c = 'E'
-  in
-  while (match peek_char lx with Some c -> is_num_char c | None -> false) do
-    advance lx
-  done;
-  let s = String.sub lx.src start (lx.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Label.Int i
-  | None ->
-    (match float_of_string_opt s with
-     | Some f -> Label.Float f
-     | None -> error lx ("bad numeric literal " ^ s))
-
-let next_token lx =
-  skip_ws lx;
-  match peek_char lx with
-  | None -> Eof
-  | Some '{' ->
-    advance lx;
-    Lbrace
-  | Some '}' ->
-    advance lx;
-    Rbrace
-  | Some ',' ->
-    advance lx;
-    Comma
-  | Some ':' ->
-    advance lx;
-    Colon
-  | Some '&' ->
-    advance lx;
-    Amp (lex_ident lx)
-  | Some '*' ->
-    advance lx;
-    Star (lex_ident lx)
-  | Some '"' -> Tlabel (Label.Str (lex_string lx))
-  | Some c when c = '-' || (c >= '0' && c <= '9') -> Tlabel (lex_number lx)
-  | Some c when Label.is_ident_start c ->
-    let id = lex_ident lx in
-    (match id with
-     | "true" -> Tlabel (Label.Bool true)
-     | "false" -> Tlabel (Label.Bool false)
-     | _ -> Tlabel (Label.Sym id))
-  | Some c -> error lx (Printf.sprintf "unexpected character %C" c)
-
-(* ------------------------------------------------------------------ *)
-(* Parser                                                              *)
-(* ------------------------------------------------------------------ *)
+(* A direct recursive-descent parser over the shared cursor; no token
+   type.  [names] maps each [&id]/[*id] name to its node and the span of
+   its first occurrence (for the dangling-reference error). *)
 
 type parser_state = {
-  lx : lexer;
-  mutable tok : token;
+  c : Scan.t;
   builder : Graph.Builder.t;
-  names : (string, int) Hashtbl.t; (* &id / *id bindings *)
+  names : (string, int * (int * int)) Hashtbl.t;
   bound : (string, unit) Hashtbl.t; (* names actually defined by &id *)
 }
 
-let shift st = st.tok <- next_token st.lx
-
-let expect st tok msg =
-  if st.tok = tok then shift st else error st.lx msg
-
-let node_for_name st name =
+let node_for_name st name span =
   match Hashtbl.find_opt st.names name with
-  | Some id -> id
+  | Some (id, _) -> id
   | None ->
     let id = Graph.Builder.add_node st.builder in
-    Hashtbl.add st.names name id;
+    Hashtbl.add st.names name (id, span);
     id
 
 (* parse_node returns the node id of the parsed node. *)
 let rec parse_node st =
-  match st.tok with
-  | Amp name ->
-    shift st;
+  let c = st.c in
+  Scan.skip_ws c;
+  let at = c.pos in
+  match Scan.peek c with
+  | '&' ->
+    Scan.advance c;
+    let name = Scan.word c in
     if Hashtbl.mem st.bound name then
-      error st.lx (Printf.sprintf "node &%s bound twice" name);
+      Scan.fail ~at c (Printf.sprintf "node &%s bound twice" name);
     Hashtbl.add st.bound name ();
-    let id = node_for_name st name in
+    let id = node_for_name st name (at, c.pos) in
     let body = parse_node st in
     Graph.Builder.add_eps st.builder id body;
     id
-  | Star name ->
-    shift st;
-    node_for_name st name
-  | Lbrace ->
-    shift st;
+  | '*' ->
+    Scan.advance c;
+    let name = Scan.word c in
+    node_for_name st name (at, c.pos)
+  | '{' ->
+    Scan.advance c;
     let id = Graph.Builder.add_node st.builder in
-    let rec entries () =
-      match st.tok with
-      | Rbrace -> shift st
-      | _ ->
+    Scan.skip_ws c;
+    if not (Scan.eat c "}") then begin
+      parse_entry st id;
+      Scan.skip_ws c;
+      while Scan.eat c "," do
         parse_entry st id;
-        (match st.tok with
-         | Comma ->
-           shift st;
-           entries ()
-         | Rbrace -> shift st
-         | _ -> error st.lx "expected ',' or '}'")
-    in
-    entries ();
+        Scan.skip_ws c
+      done;
+      Scan.expect c "}" "expected ',' or '}'"
+    end;
     id
-  | _ -> error st.lx "expected '{', '&' or '*'"
+  | _ -> Scan.fail c "expected '{', '&' or '*'"
 
 and parse_entry st parent =
-  match st.tok with
-  | Tlabel l ->
-    shift st;
-    (match st.tok with
-     | Colon ->
-       shift st;
-       let v = parse_value st in
-       Graph.Builder.add_edge st.builder parent l v
-     | _ ->
-       (* bare label: sugar for l: {} *)
-       let leafn = Graph.Builder.add_node st.builder in
-       Graph.Builder.add_edge st.builder parent l leafn)
-  | _ -> error st.lx "expected a label"
+  Scan.skip_ws st.c;
+  let l = Label.read st.c in
+  Scan.skip_ws st.c;
+  if Scan.eat st.c ":" then Graph.Builder.add_edge st.builder parent l (parse_value st)
+  else
+    (* bare label: sugar for l: {} *)
+    Graph.Builder.add_edge st.builder parent l (Graph.Builder.add_node st.builder)
 
 and parse_value st =
-  match st.tok with
-  | Tlabel l ->
+  Scan.skip_ws st.c;
+  match Scan.peek st.c with
+  | '{' | '&' | '*' -> parse_node st
+  | _ ->
     (* bare label value: sugar for {l: {}} *)
-    shift st;
+    let l = Label.read st.c in
     let v = Graph.Builder.add_node st.builder in
-    let leafn = Graph.Builder.add_node st.builder in
-    Graph.Builder.add_edge st.builder v l leafn;
+    Graph.Builder.add_edge st.builder v l (Graph.Builder.add_node st.builder);
     v
-  | _ -> parse_node st
 
-let parse_graph src =
-  let lx = { src; pos = 0; line = 1 } in
-  let st =
-    {
-      lx;
-      tok = next_token lx;
-      builder = Graph.Builder.create ();
-      names = Hashtbl.create 8;
-      bound = Hashtbl.create 8;
-    }
-  in
-  let r = parse_node st in
-  expect st Eof "trailing input after top-level node";
+let comments = [ "#" ]
+
+let read_graph c =
+  let st = { c; builder = Graph.Builder.create (); names = Hashtbl.create 8; bound = Hashtbl.create 8 } in
+  (* an embedded value (a Lorel insert) takes the data syntax's comments *)
+  let outer = c.comments in
+  c.comments <- comments;
+  let r = Fun.protect ~finally:(fun () -> c.comments <- outer) (fun () -> parse_node st) in
   Hashtbl.iter
-    (fun name _ ->
+    (fun name (_, (at, stop)) ->
       if not (Hashtbl.mem st.bound name) then
-        error lx (Printf.sprintf "reference *%s has no &%s binding" name name))
+        Scan.fail ~at ~stop c (Printf.sprintf "reference *%s has no &%s binding" name name))
     st.names;
   Graph.Builder.set_root st.builder r;
   Graph.gc (Graph.Builder.finish st.builder)
+
+let parse_graph src =
+  let c = Scan.make ~comments ~code:"SSD004" src in
+  let g = read_graph c in
+  Scan.skip_ws c;
+  if not (Scan.eof c) then Scan.fail c "trailing input after top-level node";
+  g
 
 let parse_tree src = Graph.to_tree (parse_graph src)

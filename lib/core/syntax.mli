@@ -23,13 +23,18 @@
     allowed.  {!Graph.pp} prints in the same syntax (with numeric ids), so
     parse/print round-trips up to bisimilarity. *)
 
-exception Parse_error of string
-(** Raised with a message containing the offending position. *)
-
-(** Parse a (possibly cyclic) graph. *)
+(** Parse a (possibly cyclic) graph.  A syntax error raises
+    {!Ssd_diag.Fail} with code SSD004 and the span of the failing
+    offset. *)
 val parse_graph : string -> Graph.t
 
+(** Read one node (and everything it binds) at the cursor, leaving the
+    cursor just after it: the data value embedded in another language
+    (a Lorel [insert]).  Inside the value [#] starts a comment, as in
+    {!parse_graph}.  Errors carry the cursor's code. *)
+val read_graph : Scan.t -> Graph.t
+
 (** Parse a finite tree.
-    @raise Parse_error on syntax errors.
+    @raise Ssd_diag.Fail on syntax errors.
     @raise Graph.Cyclic if the input uses [&]/[*] to form a cycle. *)
 val parse_tree : string -> Tree.t

@@ -25,7 +25,7 @@ type compiled =
   | Unql of Unql.Ast.expr * Unql.Parser.marks
   | Lorel of Lorel.Ast.query * Lorel.Parser.marks
   | Datalog of Relstore.Datalog.program
-  | Websql of Websql.Ast.query Lazy.t
+  | Websql of Websql.Ast.query
 
 type report = {
   diags : Diag.t list;
@@ -58,25 +58,21 @@ let report_of diags =
 
 let compile lang src =
   Ssd_obs.Trace.with_span "lang.compile" (fun () ->
-      let syntax code msg =
-        let d = Diag.make Diag.Error ~code msg in
+      match
+        match (lang : t) with
+        | Unql ->
+          let q, marks = Unql.Parser.parse_with_marks src in
+          Unql (q, marks)
+        | Lorel ->
+          let q, marks = Lorel.Parser.parse_with_marks src in
+          Lorel (q, marks)
+        | Datalog -> Datalog (Relstore.Datalog.parse src)
+        | Websql -> Websql (Websql.Parser.parse src)
+      with
+      | c -> c
+      | exception (Diag.Fail d as e) ->
         ignore (count (report_of [ d ]));
-        raise (Diag.Fail d)
-      in
-      match (lang : t) with
-      | Unql -> (
-        match Unql.Parser.parse_with_marks src with
-        | q, marks -> Unql (q, marks)
-        | exception Unql.Parser.Parse_error msg -> syntax "SSD001" msg)
-      | Lorel -> (
-        match Lorel.Parser.parse_with_marks src with
-        | q, marks -> Lorel (q, marks)
-        | exception Lorel.Parser.Parse_error msg -> syntax "SSD002" msg)
-      | Datalog -> (
-        match Relstore.Datalog.parse src with
-        | program -> Datalog program
-        | exception Relstore.Datalog.Parse_error msg -> syntax "SSD003" msg)
-      | Websql -> Websql (lazy (Websql.Parser.parse src)))
+        raise e)
 
 let lint ?db ?target ?(defined = []) c =
   let target =
@@ -138,7 +134,7 @@ let eval ?budget ?edb ~db c =
     match budget with
     | Some budget -> Budget.map (fun r -> Tuples r) (Budget.wrap budget tuples)
     | None -> Budget.Complete (Tuples tuples))
-  | Websql q, _ -> Budget.Complete (Relation (Websql.Eval.eval ~db (Lazy.force q)))
+  | Websql q, _ -> Budget.Complete (Relation (Websql.Eval.eval ~db q))
 
 let render = function
   | Graph g -> Graph.to_string g ^ "\n"

@@ -23,18 +23,17 @@ val name : t -> string
 val of_string : string -> t
 
 (** A parsed query, with the source marks the analyzers turn into
-    spans.  WebSQL has no static front end: its parse is deferred to the
-    first {!eval}, so a malformed WebSQL query fails there, not in
-    {!compile}. *)
+    spans. *)
 type compiled =
   | Unql of Unql.Ast.expr * Unql.Parser.marks
   | Lorel of Lorel.Ast.query * Lorel.Parser.marks
   | Datalog of Relstore.Datalog.program
-  | Websql of Websql.Ast.query Lazy.t
+  | Websql of Websql.Ast.query
 
 (** Parses once, inside a [lang.compile] trace span.  A syntax error
-    raises {!Ssd_diag.Fail} with SSD001 (UnQL), SSD002 (Lorel) or SSD003
-    (datalog) and counts as one lint check with one error. *)
+    raises the parser's {!Ssd_diag.Fail} — SSD001 (UnQL), SSD002 (Lorel),
+    SSD003 (datalog) or SSD005 (WebSQL), spanning the failing offset —
+    and counts as one lint check with one error. *)
 val compile : t -> string -> compiled
 
 (** {1 Static analysis} *)

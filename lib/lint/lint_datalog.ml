@@ -65,8 +65,8 @@ let check ?(edb_preds = triple_edb_preds) (program : D.program) =
   (* --- stratification --- *)
   (match D.n_strata program with
    | _ -> ()
-   | exception D.Not_stratified d -> diags := d :: !diags
-   | exception D.Unsafe _ -> () (* already reported above, with more detail *));
+   | exception Ssd_diag.Fail d when d.Ssd_diag.code = "SSD210" -> diags := d :: !diags
+   | exception Ssd_diag.Fail _ -> () (* safety: already reported above, with more detail *));
   (* --- unknown predicates / inconsistent arities --- *)
   let idb = List.fold_left (fun s r -> SSet.add r.D.head.D.pred s) SSet.empty program in
   let known =

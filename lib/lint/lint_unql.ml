@@ -429,11 +429,11 @@ and walk_steps st env scope frontier idx = function
     walk_steps st env scope frontier (idx + 1) rest
 
 and walk_sfun st env def =
-  (* Structural restrictions, reusing the evaluator's own check — its
-     Ill_formed now carries the matching diagnostic (SSD306/308/309). *)
+  (* Structural restrictions, reusing the evaluator's own check, which
+     fails with the matching diagnostic (SSD306/308/309). *)
   (match A.check_sfun def with
    | () -> ()
-   | exception A.Ill_formed d -> push st d);
+   | exception Ssd_diag.Fail d -> push st d);
   (* Closed bodies (SSD307), as the evaluator enforces. *)
   List.iter
     (fun c ->

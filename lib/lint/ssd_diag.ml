@@ -140,6 +140,9 @@ let codes =
     ("SSD001", Error, "syntax error in an UnQL query");
     ("SSD002", Error, "syntax error in a Lorel query");
     ("SSD003", Error, "syntax error in a datalog program");
+    ("SSD004", Error, "syntax error in data text (ssd syntax, OEM, JSON or a label literal)");
+    ("SSD005", Error, "syntax error in a WebSQL query");
+    ("SSD006", Error, "syntax error in a regular path expression or a graph schema");
     ("SSD101", Warning, "dead path: no database path from the root can match");
     ("SSD102", Warning, "partially dead path: matching becomes impossible at a later step");
     ("SSD103", Warning, "void path expression: the regex matches no label word at all");
@@ -170,8 +173,10 @@ let codes =
     ("SSD401", Error, "Lorel: unbound range variable");
     ("SSD402", Warning, "Lorel: dead path against the DataGuide");
     ("SSD403", Warning, "Lorel: duplicate range variable shadows an earlier one");
+    ("SSD410", Error, "WebSQL: unbound document variable");
     ("SSD520", Error, "relational store: arity or attribute mismatch");
     ("SSD521", Error, "triple codec: malformed edge/root relation");
+    ("SSD522", Error, "relational coding: tree does not conform to the relational coding");
     ("SSD530", Error, "views: duplicate view definition");
     ("SSD540", Error, "distributed evaluation: partition must have a positive site count");
     ("SSD541", Error, "fault plan: malformed fault specification");

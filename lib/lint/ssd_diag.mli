@@ -1,18 +1,19 @@
-(** Diagnostics core shared by the static analyzer ({!Lint}) and the
-    language runtimes.
+(** Diagnostics core shared by every layer, from the data model up.
 
     A diagnostic is a stable error code ([SSD001]...), a severity, an
     optional source span and a message.  The analyzers in [lib/lint]
-    return lists of these; the runtimes (UnQL / Lorel / datalog
-    evaluation, the relational store) raise {!Fail} carrying one, so
-    every failure mode in the query stack has a grep-able code.
+    return lists of these.  Everything else raises {!Fail} carrying one:
+    every parser (through {!Ssd.Scan}, with the span of the failing
+    offset), the evaluators, the relational coding and store, the
+    storage and serving layers.  It is the only failure type they
+    raise, so every failure mode has a grep-able code.
 
     Codes are grouped by hundreds:
-    - [SSD00x] — syntax errors
+    - [SSD00x] — syntax errors (one code per language or data format)
     - [SSD1xx] — path satisfiability (dead / partially dead paths)
     - [SSD2xx] — datalog safety and stratification
     - [SSD3xx] — UnQL / UnCAL hygiene (binders, markers, recursion)
-    - [SSD4xx] — Lorel-specific checks
+    - [SSD4xx] — Lorel- and WebSQL-specific checks
     - [SSD5xx] — runtime / storage errors with no static counterpart *)
 
 type severity =
@@ -37,10 +38,10 @@ type t = {
   message : string;
 }
 
-(** The typed error the language layers raise instead of
-    [failwith]/[invalid_arg]: it carries the full diagnostic, so callers
-    can match on [diag.code].  A printer is registered, so an uncaught
-    [Fail] renders like [error[SSD520] ...]. *)
+(** The typed error every layer raises instead of
+    [failwith]/[invalid_arg] or an exception of its own: it carries the
+    full diagnostic, so callers can match on [diag.code].  A printer is
+    registered, so an uncaught [Fail] renders like [error[SSD520] ...]. *)
 exception Fail of t
 
 (** {1 Construction} *)
@@ -51,7 +52,8 @@ val make : ?span:span -> severity -> code:string -> string -> t
 val error : ?span:span -> code:string -> ('a, unit, string, 'b) format4 -> 'a
 
 (** [span_of_offsets src start stop] converts byte offsets into a
-    line/column span (used by the parsers, which track offsets). *)
+    line/column span (used by {!Ssd.Scan} and the analyzers, which track
+    offsets). *)
 val span_of_offsets : string -> int -> int -> span
 
 (** {1 Rendering} *)

@@ -5,19 +5,8 @@ module Metrics = Ssd_obs.Metrics
 module Trace = Ssd_obs.Trace
 open Ast
 
-(* Runtime failures carry a diagnostic under the same code the static
+(* Runtime failures raise [Ssd_diag.Fail] under the same code the static
    analyzer reports for the defect (SSD401: unbound range variable). *)
-exception Runtime_error of Ssd_diag.t
-
-let runtime_error ~code fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Runtime_error (Ssd_diag.make Ssd_diag.Error ~code msg)))
-    fmt
-
-let () =
-  Printexc.register_printer (function
-    | Runtime_error d -> Some ("Lorel.Eval.Runtime_error: " ^ Ssd_diag.to_string d)
-    | _ -> None)
 
 module Int_set = Set.Make (Int)
 
@@ -82,7 +71,7 @@ let eval_path ?budget ~db ~env p =
     | Some x -> (
       match List.assoc_opt x env with
       | Some n -> Int_set.singleton n
-      | None -> runtime_error ~code:"SSD401" "unbound range variable %s" x)
+      | None -> Ssd_diag.error ~code:"SSD401" "unbound range variable %s" x)
   in
   Int_set.elements (List.fold_left (step b db) start p.comps)
 

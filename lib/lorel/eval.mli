@@ -17,9 +17,8 @@
       item (labeled by its alias or last path label) pointing at the
       {e original} object — object identity is preserved, not copied. *)
 
-(** Runtime failures carry a {!Ssd_diag.t}; the code (SSD401) matches
+(** Runtime failures raise {!Ssd_diag.Fail}; the code (SSD401) matches
     the static analyzer's report for the same defect. *)
-exception Runtime_error of Ssd_diag.t
 
 (** [eval ?budget ~db q] returns the result graph.  It shares no
     structure with [db] physically: it holds a fresh root, the part of
@@ -68,7 +67,7 @@ val eval_path :
 
 (** Does the condition hold for the given (variable, node) bindings?
     Exposed for tests.
-    @raise Runtime_error (SSD401) on a path from an unbound variable. *)
+    @raise Ssd_diag.Fail (SSD401) on a path from an unbound variable. *)
 val eval_cond : db:Ssd.Graph.t -> env:(string * int) list -> Ast.cond -> bool
 
 (** Atomic values of an object: base labels of its leaf edges. *)

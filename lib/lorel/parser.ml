@@ -1,7 +1,6 @@
 module Label = Ssd.Label
+module Scan = Ssd.Scan
 open Ast
-
-exception Parse_error of string
 
 (* Byte-offset marks recorded in parse order: one [Mpath] per path
    expression, one [Mvar] per range-variable ident.  The lint pass walks
@@ -16,147 +15,66 @@ type marks = {
 }
 
 type st = {
-  src : string;
-  mutable pos : int;
+  c : Scan.t;
   mutable marks : (mark_kind * int * int) list; (* reversed *)
 }
 
 let record st kind start =
   (* trim trailing whitespace the lookahead consumed *)
-  let stop = ref st.pos in
+  let src = st.c.src in
+  let stop = ref st.c.pos in
   while
     !stop > start
-    && match st.src.[!stop - 1] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    && match src.[!stop - 1] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
     decr stop
   done;
   st.marks <- (kind, start, !stop) :: st.marks
 
-let fail st msg =
-  let line = ref 1 and bol = ref 0 in
-  String.iteri
-    (fun i c ->
-      if i < st.pos && c = '\n' then begin
-        incr line;
-        bol := i + 1
-      end)
-    st.src;
-  raise
-    (Parse_error
-       (Printf.sprintf "line %d, column %d (offset %d): %s" !line
-          (st.pos - !bol + 1) st.pos msg))
+let fail st msg = Scan.fail st.c msg
+let peek st = Scan.peek st.c
+let advance st = Scan.advance st.c
+let eat st s msg = Scan.expect st.c s msg
+let lex_ident st = Scan.ident st.c
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    st.pos <- st.pos + 1;
-    skip_ws st
-  | _ -> ()
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
-
-let eat st s msg = if looking_at st s then st.pos <- st.pos + String.length s else fail st msg
-
-let lex_ident st =
-  let start = st.pos in
-  while
-    match peek st with
-    | Some c -> Label.is_ident_char c
-    | None -> false
-  do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then fail st "expected an identifier";
-  String.sub st.src start (st.pos - start)
-
-let peek_word st =
-  skip_ws st;
-  match peek st with
-  | Some c when Label.is_ident_start c ->
-    let p = st.pos in
-    let w = lex_ident st in
-    st.pos <- p;
-    Some (String.lowercase_ascii w)
-  | _ -> None
-
-let eat_keyword st w =
-  if peek_word st = Some w then begin
-    skip_ws st;
-    ignore (lex_ident st);
-    true
-  end
-  else false
-
-let lex_string st =
-  eat st "\"" "expected '\"'";
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string literal"
-    | Some '"' -> st.pos <- st.pos + 1
-    | Some '\\' ->
-      st.pos <- st.pos + 1;
-      (match peek st with
-       | Some 'n' -> Buffer.add_char buf '\n'
-       | Some 't' -> Buffer.add_char buf '\t'
-       | Some c -> Buffer.add_char buf c
-       | None -> fail st "unterminated escape");
-      st.pos <- st.pos + 1;
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
-      st.pos <- st.pos + 1;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let lex_number st =
-  let start = st.pos in
-  let numchar c = (c >= '0' && c <= '9') || c = '-' || c = 'e' || c = 'E' in
-  while (match peek st with Some c -> numchar c | None -> false) do
-    st.pos <- st.pos + 1
-  done;
-  let s = String.sub st.src start (st.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Label.Int i
-  | None -> fail st ("bad integer literal " ^ s)
+(* Keywords are case-insensitive. *)
+let eat_keyword st w = Scan.eat_word ~ci:true st.c w
 
 let keywords = [ "select"; "from"; "where"; "and"; "or"; "not"; "exists"; "as"; "like" ]
 
 let parse_component st =
-  skip_ws st;
+  Scan.skip_space st.c;
   match peek st with
-  | Some '%' ->
-    st.pos <- st.pos + 1;
+  | '%' ->
+    advance st;
     Cany
-  | Some '#' ->
-    st.pos <- st.pos + 1;
+  | '#' ->
+    advance st;
     Cpath
-  | Some '"' -> Clabel (Label.Str (lex_string st))
-  | Some c when c = '-' || (c >= '0' && c <= '9') -> Clabel (lex_number st)
-  | Some c when Label.is_ident_start c -> Clabel (Label.Sym (lex_ident st))
+  | '"' -> Clabel (Label.Str (Scan.string st.c))
+  | ch when Scan.is_number_start ch -> (
+    (* '.' separates components: integers only *)
+    let at = st.c.pos in
+    match Scan.number ~frac:false st.c with
+    | Scan.Int i -> Clabel (Label.Int i)
+    | Scan.Float _ -> Scan.fail ~at st.c "bad integer literal")
+  | ch when Scan.is_ident_start ch -> Clabel (Label.Sym (lex_ident st))
   | _ -> fail st "expected a path component"
 
 let parse_path_from st start =
   let comps = ref [] in
-  skip_ws st;
-  while peek st = Some '.' do
-    st.pos <- st.pos + 1;
+  Scan.skip_space st.c;
+  while Scan.eat st.c "." do
     comps := parse_component st :: !comps;
-    skip_ws st
+    Scan.skip_space st.c
   done;
   { start; comps = List.rev !comps }
 
 let parse_path_expr st =
-  skip_ws st;
-  let mark_start = st.pos in
+  Scan.skip_space st.c;
+  let mark_start = st.c.pos in
   match peek st with
-  | Some c when Label.is_ident_start c ->
+  | ch when Scan.is_ident_start ch ->
     let id = lex_ident st in
     let start = if String.lowercase_ascii id = "db" then None else Some id in
     let path = parse_path_from st start in
@@ -165,40 +83,23 @@ let parse_path_expr st =
   | _ -> fail st "expected a path expression"
 
 let parse_operand st =
-  skip_ws st;
+  Scan.skip_space st.c;
   match peek st with
-  | Some '"' -> Olit (Label.Str (lex_string st))
-  | Some c when c = '-' || (c >= '0' && c <= '9') ->
-    (* numeric literal, possibly float *)
-    let start = st.pos in
-    let numchar c = (c >= '0' && c <= '9') || c = '-' || c = '.' || c = 'e' || c = 'E' in
-    while (match peek st with Some c -> numchar c | None -> false) do
-      st.pos <- st.pos + 1
-    done;
-    let s = String.sub st.src start (st.pos - start) in
-    (match int_of_string_opt s with
-     | Some i -> Olit (Label.Int i)
-     | None ->
-       (match float_of_string_opt s with
-        | Some f -> Olit (Label.Float f)
-        | None -> fail st ("bad numeric literal " ^ s)))
-  | Some c when Label.is_ident_start c -> (
-    match peek_word st with
-    | Some ("true" | "false") ->
-      skip_ws st;
-      Olit (Label.Bool (lex_ident st = "true"))
-    | _ -> Opath (parse_path_expr st))
+  | '"' | '-' | '0' .. '9' -> Olit (Label.read st.c)
+  | ch when Scan.is_ident_start ch ->
+    if Scan.at_word st.c "true" || Scan.at_word st.c "false" then Olit (Label.read st.c)
+    else Opath (parse_path_expr st)
   | _ -> fail st "expected an operand"
 
 let parse_cmpop st =
-  skip_ws st;
-  if looking_at st "!=" then (st.pos <- st.pos + 2; Neq)
-  else if looking_at st "<>" then (st.pos <- st.pos + 2; Neq)
-  else if looking_at st "<=" then (st.pos <- st.pos + 2; Le)
-  else if looking_at st ">=" then (st.pos <- st.pos + 2; Ge)
-  else if looking_at st "=" then (st.pos <- st.pos + 1; Eq)
-  else if looking_at st "<" then (st.pos <- st.pos + 1; Lt)
-  else if looking_at st ">" then (st.pos <- st.pos + 1; Gt)
+  Scan.skip_space st.c;
+  let c = st.c in
+  if Scan.eat c "!=" || Scan.eat c "<>" then Neq
+  else if Scan.eat c "<=" then Le
+  else if Scan.eat c ">=" then Ge
+  else if Scan.eat c "=" then Eq
+  else if Scan.eat c "<" then Lt
+  else if Scan.eat c ">" then Gt
   else if eat_keyword st "like" then Like
   else fail st "expected a comparison operator"
 
@@ -216,12 +117,11 @@ and parse_not st =
   if eat_keyword st "not" then Not (parse_not st) else parse_base st
 
 and parse_base st =
-  skip_ws st;
+  Scan.skip_space st.c;
   if eat_keyword st "exists" then Exists (parse_path_expr st)
-  else if peek st = Some '(' then begin
-    st.pos <- st.pos + 1;
+  else if Scan.eat st.c "(" then begin
     let c = parse_cond st in
-    skip_ws st;
+    Scan.skip_space st.c;
     eat st ")" "expected ')'";
     c
   end
@@ -234,50 +134,54 @@ and parse_base st =
 
 let parse_select_item st =
   let item = parse_path_expr st in
-  let alias = if eat_keyword st "as" then Some (skip_ws st; lex_ident st) else None in
+  let alias = if eat_keyword st "as" then Some (Scan.skip_space st.c; lex_ident st) else None in
   { item; alias }
 
+let start src = { c = Scan.make ~code:"SSD002" src; marks = [] }
+
+let finish st what =
+  Scan.skip_space st.c;
+  if not (Scan.eof st.c) then fail st ("trailing input after " ^ what)
+
 let parse_with_marks src =
-  let st = { src; pos = 0; marks = [] } in
+  let st = start src in
   if not (eat_keyword st "select") then fail st "query must start with 'select'";
   let select = ref [ parse_select_item st ] in
-  skip_ws st;
-  while peek st = Some ',' do
-    st.pos <- st.pos + 1;
+  Scan.skip_space st.c;
+  while Scan.eat st.c "," do
     select := parse_select_item st :: !select;
-    skip_ws st
+    Scan.skip_space st.c
   done;
   let from = ref [] in
   if eat_keyword st "from" then begin
     let range () =
       let p = parse_path_expr st in
-      skip_ws st;
-      let vstart = st.pos in
+      Scan.skip_space st.c;
+      let vstart = st.c.pos in
       let v = lex_ident st in
       record st Mvar vstart;
       if List.mem (String.lowercase_ascii v) keywords then
-        fail st ("range variable clashes with keyword " ^ v);
+        Scan.fail ~at:vstart st.c ("range variable clashes with keyword " ^ v);
       (p, v)
     in
     from := [ range () ];
-    skip_ws st;
-    while peek st = Some ',' do
-      st.pos <- st.pos + 1;
+    Scan.skip_space st.c;
+    while Scan.eat st.c "," do
       from := range () :: !from;
-      skip_ws st
+      Scan.skip_space st.c
     done
   end;
   let where = if eat_keyword st "where" then Some (parse_cond st) else None in
-  skip_ws st;
-  if peek st <> None then fail st "trailing input after query";
+  finish st "query";
   ( { select = List.rev !select; from = List.rev !from; where },
     { msrc = src; items = Array.of_list (List.rev st.marks) } )
 
 let parse src = fst (parse_with_marks src)
 
+let read_path c = parse_path_expr { c; marks = [] }
+
 let parse_path src =
-  let st = { src; pos = 0; marks = [] } in
+  let st = start src in
   let p = parse_path_expr st in
-  skip_ws st;
-  if peek st <> None then fail st "trailing input after path";
+  finish st "path";
   p

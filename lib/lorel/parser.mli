@@ -9,8 +9,6 @@
     Path components: identifiers, quoted strings, integers, [%] (any one
     label) and [#] (any path, including the empty one). *)
 
-exception Parse_error of string
-
 (** Byte-offset marks recorded in parse order — one [Mpath] per path
     expression, one [Mvar] per range-variable ident.  {!Lint} walks the
     query in the same order to attach source spans. *)
@@ -23,7 +21,15 @@ type marks = {
   items : (mark_kind * int * int) array;
 }
 
+(** A syntax error raises {!Ssd_diag.Fail} with code SSD002 and the span
+    of the failing offset. *)
 val parse : string -> Ast.query
+
+(** {1 Reading from a shared cursor} *)
+
+(** [read_path c] reads one path expression at the cursor (the paths of
+    Lorel update statements); errors carry the cursor's code. *)
+val read_path : Ssd.Scan.t -> Ast.path
 
 (** [parse] plus the recorded marks. *)
 val parse_with_marks : string -> Ast.query * marks

@@ -1,7 +1,6 @@
 module Graph = Ssd.Graph
 module Label = Ssd.Label
-
-exception Parse_error of string
+module Scan = Ssd.Scan
 
 type statement =
   | Insert of Ast.path * Ssd.Graph.t (** graft at every target *)
@@ -11,112 +10,60 @@ type statement =
 type t = statement list
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: reuse the Lorel path parser; the grafted value uses the ssd
-   data syntax.                                                        *)
+(* Parsing: the Lorel path reader and the ssd data reader, on one
+   cursor.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let split_statements src =
-  (* split on ';' outside string literals and braces *)
-  let parts = ref [] in
-  let buf = Buffer.create 64 in
-  let in_string = ref false in
-  let depth = ref 0 in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' ->
-        in_string := not !in_string;
-        Buffer.add_char buf c
-      | '{' when not !in_string ->
-        incr depth;
-        Buffer.add_char buf c
-      | '}' when not !in_string ->
-        decr depth;
-        Buffer.add_char buf c
-      | ';' when (not !in_string) && !depth = 0 ->
-        parts := Buffer.contents buf :: !parts;
-        Buffer.clear buf
-      | c -> Buffer.add_char buf c)
-    src;
-  parts := Buffer.contents buf :: !parts;
-  List.rev_map String.trim !parts |> List.filter (fun s -> s <> "")
+(* "PATH . component": the path up to its last component, and that
+   component, which must name one edge. *)
+let split_last c at (path : Ast.path) =
+  match List.rev path.comps with
+  | [] -> Scan.fail ~at c "expected PATH.component"
+  | Ast.Cpath :: _ -> Scan.fail ~at c "'#' cannot be deleted/renamed (not one edge)"
+  | last :: rest -> ({ path with comps = List.rev rest }, last)
 
-let keyword_and_rest s =
-  match String.index_opt s ' ' with
-  | None -> (String.lowercase_ascii s, "")
-  | Some i ->
-    ( String.lowercase_ascii (String.sub s 0 i),
-      String.trim (String.sub s i (String.length s - i)) )
-
-(* Split "PATH . component" — the last dot-component of the path text. *)
-let split_last_component text =
-  match String.rindex_opt text '.' with
-  | None -> raise (Parse_error ("expected PATH.component in: " ^ text))
-  | Some i ->
-    ( String.trim (String.sub text 0 i),
-      String.trim (String.sub text (i + 1) (String.length text - i - 1)) )
-
-let component_of_text text =
-  if text = "%" then Ast.Cany
-  else if text = "#" then raise (Parse_error "'#' cannot be deleted/renamed (not one edge)")
-  else
-    match Label.of_string text with
-    | l -> Ast.Clabel l
-    | exception Failure msg -> raise (Parse_error msg)
-
-let parse_statement s =
-  let kw, rest = keyword_and_rest s in
-  match kw with
-  | "insert" -> (
-    match String.index_opt rest ':' with
-    | Some i when i + 1 < String.length rest && rest.[i + 1] = '=' ->
-      let path_text = String.trim (String.sub rest 0 i) in
-      let value_text = String.trim (String.sub rest (i + 2) (String.length rest - i - 2)) in
-      let path =
-        try Parser.parse_path path_text
-        with Parser.Parse_error m -> raise (Parse_error m)
-      in
-      let value =
-        try Ssd.Syntax.parse_graph value_text
-        with Ssd.Syntax.Parse_error m -> raise (Parse_error m)
-      in
-      Insert (path, value)
-    | _ -> raise (Parse_error "insert expects PATH := { ... }"))
-  | "delete" ->
-    let path_text, comp_text = split_last_component rest in
-    let path =
-      try Parser.parse_path path_text with Parser.Parse_error m -> raise (Parse_error m)
+let parse_statement c =
+  let kat = c.Scan.pos in
+  let path_at () = Scan.skip_space c; c.pos in
+  if Scan.eat_word ~ci:true c "insert" then begin
+    let path = Parser.read_path c in
+    Scan.skip_space c;
+    Scan.expect c ":=" "insert expects PATH := { ... }";
+    Insert (path, Ssd.Syntax.read_graph c)
+  end
+  else if Scan.eat_word ~ci:true c "delete" then
+    let at = path_at () in
+    let path, comp = split_last c at (Parser.read_path c) in
+    Delete (path, comp)
+  else if Scan.eat_word ~ci:true c "rename" then begin
+    let at = path_at () in
+    let path, old = split_last c at (Parser.read_path c) in
+    let old_label =
+      match old with
+      | Ast.Clabel l -> l
+      | _ -> Scan.fail ~at c "rename expects PATH.old to new"
     in
-    Delete (path, component_of_text comp_text)
-  | "rename" -> (
-    (* rename PATH.old to new *)
-    let lower = String.lowercase_ascii rest in
-    match
-      (* find the last " to " outside strings; updates are short, a plain
-         search from the right is fine *)
-      let rec find i =
-        if i < 0 then None
-        else if i + 4 <= String.length lower && String.sub lower i 4 = " to " then Some i
-        else find (i - 1)
-      in
-      find (String.length lower - 4)
-    with
-    | None -> raise (Parse_error "rename expects PATH.old to new")
-    | Some i ->
-      let left = String.trim (String.sub rest 0 i) in
-      let right = String.trim (String.sub rest (i + 4) (String.length rest - i - 4)) in
-      let path_text, old_text = split_last_component left in
-      let path =
-        try Parser.parse_path path_text with Parser.Parse_error m -> raise (Parse_error m)
-      in
-      let old_label =
-        try Label.of_string old_text with Failure m -> raise (Parse_error m)
-      in
-      let new_label = try Label.of_string right with Failure m -> raise (Parse_error m) in
-      Rename (path, old_label, new_label))
-  | kw -> raise (Parse_error ("unknown update statement " ^ kw))
+    if not (Scan.eat_word ~ci:true c "to") then Scan.fail c "rename expects PATH.old to new";
+    Scan.skip_space c;
+    Rename (path, old_label, Label.read c)
+  end
+  else Scan.fail ~at:kat c "expected an update statement (insert, delete or rename)"
 
-let parse src = List.map parse_statement (split_statements src)
+(* Statements separated (and optionally ended) by ';'. *)
+let parse src =
+  let c = Scan.make ~code:"SSD002" src in
+  let rec go acc =
+    Scan.skip_space c;
+    if Scan.eof c then List.rev acc
+    else if Scan.eat c ";" then go acc
+    else begin
+      let stmt = parse_statement c in
+      Scan.skip_space c;
+      if not (Scan.eof c || Scan.eat c ";") then Scan.fail c "expected ';' between statements";
+      go (stmt :: acc)
+    end
+  in
+  go []
 
 (* ------------------------------------------------------------------ *)
 (* Application                                                         *)

@@ -17,10 +17,11 @@
     Updates are functional: {!apply} returns a new graph, the input is
     untouched.  Unreachable debris left by [delete] is collected. *)
 
-exception Parse_error of string
-
 type t
 
+(** A syntax error raises {!Ssd_diag.Fail} with code SSD002 and the span
+    of the failing offset in the whole update text, including errors in
+    an inserted ssd value. *)
 val parse : string -> t
 
 val apply : db:Ssd.Graph.t -> t -> Ssd.Graph.t

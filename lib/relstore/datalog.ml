@@ -41,23 +41,9 @@ type rule = {
 
 type program = rule list
 
-exception Parse_error of string
-(* Safety and stratification violations carry a diagnostic under the
+(* Safety and stratification violations raise [Ssd_diag.Fail] under the
    analyzer's codes (SSD201/202/203 safety, SSD210 stratification), so a
    runtime rejection and a lint finding for one defect agree. *)
-exception Unsafe of Ssd_diag.t
-exception Not_stratified of Ssd_diag.t
-
-let unsafe ~code fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Unsafe (Ssd_diag.make Ssd_diag.Error ~code msg)))
-    fmt
-
-let () =
-  Printexc.register_printer (function
-    | Unsafe d -> Some ("Datalog.Unsafe: " ^ Ssd_diag.to_string d)
-    | Not_stratified d -> Some ("Datalog.Not_stratified: " ^ Ssd_diag.to_string d)
-    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -100,232 +86,129 @@ let pp_program fmt p =
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type token =
-  | Tident of string
-  | Tvar of string
-  | Tlabel of Label.t
-  | Tlparen
-  | Trparen
-  | Tcomma
-  | Tperiod
-  | Tturnstile
-  | Tnot
-  | Tcmp of cmp
-  | Teof
+(* Recursive descent on the shared cursor.  [anon] numbers the
+   anonymous variables '_' across the program. *)
 
-let tokenize src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let anon = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" !pos msg)) in
-  let toks = ref [] in
-  let push t = toks := t :: !toks in
-  let lex_ident () =
-    let start = !pos in
-    while !pos < n && Label.is_ident_char src.[!pos] do
-      incr pos
-    done;
-    String.sub src start (!pos - start)
-  in
-  while !pos < n do
-    match src.[!pos] with
-    | ' ' | '\t' | '\n' | '\r' -> incr pos
-    | '%' | '#' ->
-      while !pos < n && src.[!pos] <> '\n' do
-        incr pos
-      done
-    | '(' ->
-      incr pos;
-      push Tlparen
-    | ')' ->
-      incr pos;
-      push Trparen
-    | ',' ->
-      incr pos;
-      push Tcomma
-    | '.' ->
-      incr pos;
-      push Tperiod
-    | '?' ->
-      incr pos;
-      let v = lex_ident () in
-      if v = "" then fail "expected a variable name after '?'";
-      push (Tvar v)
-    | '_' when !pos + 1 >= n || not (Label.is_ident_char src.[!pos + 1]) ->
-      incr pos;
-      incr anon;
-      push (Tvar (Printf.sprintf "_anon%d" !anon))
-    | ':' ->
-      if !pos + 1 < n && src.[!pos + 1] = '-' then begin
-        pos := !pos + 2;
-        push Tturnstile
-      end
-      else fail "expected ':-'"
-    | '=' ->
-      incr pos;
-      push (Tcmp Eq)
-    | '!' ->
-      if !pos + 1 < n && src.[!pos + 1] = '=' then begin
-        pos := !pos + 2;
-        push (Tcmp Neq)
-      end
-      else fail "expected '!='"
-    | '<' ->
-      if !pos + 1 < n && src.[!pos + 1] = '=' then begin
-        pos := !pos + 2;
-        push (Tcmp Le)
-      end
-      else begin
-        incr pos;
-        push (Tcmp Lt)
-      end
-    | '>' ->
-      if !pos + 1 < n && src.[!pos + 1] = '=' then begin
-        pos := !pos + 2;
-        push (Tcmp Ge)
-      end
-      else begin
-        incr pos;
-        push (Tcmp Gt)
-      end
-    | '"' ->
-      let buf = Buffer.create 8 in
-      incr pos;
-      let rec loop () =
-        if !pos >= n then fail "unterminated string"
-        else
-          match src.[!pos] with
-          | '"' -> incr pos
-          | '\\' when !pos + 1 < n ->
-            (match src.[!pos + 1] with
-             | 'n' -> Buffer.add_char buf '\n'
-             | 't' -> Buffer.add_char buf '\t'
-             | c -> Buffer.add_char buf c);
-            pos := !pos + 2;
-            loop ()
-          | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            loop ()
-      in
-      loop ();
-      push (Tlabel (Label.Str (Buffer.contents buf)))
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      let numchar c =
-        (c >= '0' && c <= '9') || c = '-' || c = '+' || c = 'e' || c = 'E' || c = '.'
-      in
-      (* Lookahead: '.' ends a clause unless followed by a digit. *)
-      while
-        !pos < n
-        && numchar src.[!pos]
-        && not (src.[!pos] = '.' && not (!pos + 1 < n && src.[!pos + 1] >= '0' && src.[!pos + 1] <= '9'))
-      do
-        incr pos
-      done;
-      let s = String.sub src start (!pos - start) in
-      (match int_of_string_opt s with
-       | Some i -> push (Tlabel (Label.Int i))
-       | None ->
-         (match float_of_string_opt s with
-          | Some f -> push (Tlabel (Label.Float f))
-          | None -> fail ("bad number " ^ s)))
-    | c when Label.is_ident_start c ->
-      let id = lex_ident () in
-      (match id with
-       | "not" -> push Tnot
-       | "true" -> push (Tlabel (Label.Bool true))
-       | "false" -> push (Tlabel (Label.Bool false))
-       | _ -> push (Tident id))
-    | c -> fail (Printf.sprintf "unexpected character %C" c)
-  done;
-  List.rev (Teof :: !toks)
+module Scan = Ssd.Scan
 
-type pstate = { mutable toks : token list }
+type pstate = {
+  c : Scan.t;
+  mutable anon : int;
+}
 
-let peek st = match st.toks with [] -> Teof | t :: _ -> t
-let shift st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+let fail st msg = Scan.fail st.c msg
 
-let expect st tok msg = if peek st = tok then shift st else raise (Parse_error msg)
+let skip st = Scan.skip_ws st.c
+
+let expect st s msg =
+  skip st;
+  Scan.expect st.c s msg
+
+(* A comparison operator at the cursor, consumed. *)
+let cmp_op st =
+  skip st;
+  let c = st.c in
+  if Scan.eat c "!=" then Some Neq
+  else if Scan.eat c "<=" then Some Le
+  else if Scan.eat c ">=" then Some Ge
+  else if Scan.eat c "=" then Some Eq
+  else if Scan.eat c "<" then Some Lt
+  else if Scan.eat c ">" then Some Gt
+  else None
 
 let parse_term st =
-  match peek st with
-  | Tvar v ->
-    shift st;
+  skip st;
+  let c = st.c in
+  match Scan.peek c with
+  | '?' ->
+    Scan.advance c;
+    let v = Scan.word c in
+    if v = "" then fail st "expected a variable name after '?'";
     Var v
-  | Tlabel l ->
-    shift st;
-    Const l
-  | Tident id ->
-    shift st;
-    Const (Label.Sym id)
-  | _ -> raise (Parse_error "expected a term")
+  | '_' when not (Scan.is_ident_char (Scan.peek_at c 1)) ->
+    Scan.advance c;
+    st.anon <- st.anon + 1;
+    Var (Printf.sprintf "_anon%d" st.anon)
+  | '"' | '-' | '0' .. '9' -> Const (Label.read c)
+  | ch when Scan.is_ident_start ch -> (
+    match Scan.word c with
+    | "true" -> Const (Label.Bool true)
+    | "false" -> Const (Label.Bool false)
+    | "not" -> fail st "expected a term"
+    | id -> Const (Label.Sym id))
+  | _ -> fail st "expected a term"
+
+(* The arguments of an atom whose predicate [p] was just read. *)
+let parse_args st p =
+  expect st "(" ("expected '(' after predicate " ^ p);
+  skip st;
+  let args = ref [] in
+  if not (Scan.eat st.c ")") then begin
+    args := [ parse_term st ];
+    skip st;
+    while Scan.eat st.c "," do
+      args := parse_term st :: !args;
+      skip st
+    done;
+    expect st ")" "expected ')'"
+  end;
+  { pred = p; args = List.rev !args }
 
 let parse_atom st =
-  match peek st with
-  | Tident p ->
-    shift st;
-    expect st Tlparen ("expected '(' after predicate " ^ p);
-    let args = ref [] in
-    if peek st <> Trparen then begin
-      args := [ parse_term st ];
-      while peek st = Tcomma do
-        shift st;
-        args := parse_term st :: !args
-      done
-    end;
-    expect st Trparen "expected ')'";
-    { pred = p; args = List.rev !args }
-  | _ -> raise (Parse_error "expected a predicate atom")
+  skip st;
+  let at = st.c.pos in
+  if not (Scan.is_ident_start (Scan.peek st.c)) then Scan.fail st.c "expected a predicate atom";
+  match Scan.word st.c with
+  | "not" | "true" | "false" -> Scan.fail ~at st.c "expected a predicate atom"
+  | p -> parse_args st p
 
+(* [not atom], [pred(...)], or a comparison, in which a bare identifier
+   is a symbol constant. *)
 let parse_literal st =
-  match peek st with
-  | Tnot ->
-    shift st;
-    Neg (parse_atom st)
-  | Tident _ -> (
-    (* Could be an atom p(...) or a symbol constant in a comparison. *)
-    match st.toks with
-    | Tident _ :: Tlparen :: _ -> Pos (parse_atom st)
-    | _ ->
-      let t1 = parse_term st in
-      (match peek st with
-       | Tcmp op ->
-         shift st;
-         let t2 = parse_term st in
-         Cmp (op, t1, t2)
-       | _ -> raise (Parse_error "expected a comparison operator")))
-  | _ ->
+  let c = st.c in
+  skip st;
+  let saved = c.pos in
+  let comparison () =
+    c.pos <- saved;
     let t1 = parse_term st in
-    (match peek st with
-     | Tcmp op ->
-       shift st;
-       let t2 = parse_term st in
-       Cmp (op, t1, t2)
-     | _ -> raise (Parse_error "expected a comparison operator"))
+    match cmp_op st with
+    | Some op -> Cmp (op, t1, parse_term st)
+    | None -> fail st "expected a comparison operator"
+  in
+  if not (Scan.is_ident_start (Scan.peek c)) then comparison ()
+  else
+    match Scan.word c with
+    | "not" -> Neg (parse_atom st)
+    | "true" | "false" -> comparison ()
+    | p ->
+      skip st;
+      if Scan.peek c = '(' then Pos (parse_args st p) else comparison ()
 
 let parse_rule st =
   let head = parse_atom st in
+  skip st;
   let body =
-    match peek st with
-    | Tturnstile ->
-      shift st;
+    if Scan.eat st.c ":-" then begin
       let lits = ref [ parse_literal st ] in
-      while peek st = Tcomma do
-        shift st;
-        lits := parse_literal st :: !lits
+      skip st;
+      while Scan.eat st.c "," do
+        lits := parse_literal st :: !lits;
+        skip st
       done;
       List.rev !lits
-    | _ -> []
+    end
+    else []
   in
-  expect st Tperiod "expected '.' at end of rule";
+  expect st "." "expected '.' at end of rule";
   { head; body }
 
 let parse src =
-  let st = { toks = tokenize src } in
+  let st = { c = Scan.make ~comments:[ "%"; "#" ] ~code:"SSD003" src; anon = 0 } in
   let rules = ref [] in
-  while peek st <> Teof do
-    rules := parse_rule st :: !rules
+  skip st;
+  while not (Scan.eof st.c) do
+    rules := parse_rule st :: !rules;
+    skip st
   done;
   List.rev !rules
 
@@ -345,7 +228,7 @@ let check_safety program =
       in
       let check_var ~code where v =
         if not (List.mem v positive_vars) then
-          unsafe ~code
+          Ssd_diag.error ~code
             "variable ?%s in %s of rule '%s' is not bound by a positive literal" v
             where
             (Format.asprintf "%a" pp_rule r)
@@ -386,10 +269,8 @@ let stratify program =
         in
         if lower > stratum_of r.head.pred then begin
           if lower > n_idb then
-            raise
-              (Not_stratified
-                 (Ssd_diag.make Ssd_diag.Error ~code:"SSD210"
-                    ("predicate " ^ r.head.pred ^ " negates through recursion")));
+            Ssd_diag.error ~code:"SSD210" "predicate %s negates through recursion"
+              r.head.pred;
           Hashtbl.replace strata r.head.pred lower;
           changed := true
         end)
@@ -507,7 +388,7 @@ let eval_term env = function
   | Var v -> (
     match Env.find_opt v env with
     | Some l -> l
-    | None -> unsafe ~code:"SSD203" "unbound variable ?%s" v)
+    | None -> Ssd_diag.error ~code:"SSD203" "unbound variable ?%s" v)
 
 (* Match an atom's args against a concrete tuple under [env]; None on
    mismatch. *)
@@ -973,7 +854,7 @@ module Incremental = struct
   let prepare ~edb program =
     check_safety program;
     if not (supported program) then
-      unsafe ~code:"SSD213"
+      Ssd_diag.error ~code:"SSD213"
         "incremental maintenance requires a negation-free program";
     let facts = private_copies edb program in
     let set_of = view_of edb facts nothing_added in

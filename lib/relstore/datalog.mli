@@ -51,16 +51,9 @@ type rule = {
 
 type program = rule list
 
-exception Parse_error of string
-
-exception Unsafe of Ssd_diag.t
-(** A head / negated / compared variable does not occur in a positive body
-    literal.  The diagnostic's code is SSD201 (head), SSD202 (negated
-    literal) or SSD203 (comparison) — the same codes {!Lint} reports. *)
-
-exception Not_stratified of Ssd_diag.t
-(** Negation through recursion (code SSD210). *)
-
+(** Parses a program; [%] and [#] start comments.  A syntax error raises
+    {!Ssd_diag.Fail} with code SSD003 and the span of the failing
+    offset. *)
 val parse : string -> program
 val pp_rule : Format.formatter -> rule -> unit
 val pp_program : Format.formatter -> program -> unit
@@ -86,7 +79,8 @@ val edb_of_list : (string * Ssd.Label.t list list) list -> edb
     returned — a sound lower bound of the least model: completed strata
     are exact (so negation was decided correctly), and the interrupted
     stratum is monotone.
-    @raise Unsafe / @raise Not_stratified on bad programs. *)
+    @raise Ssd_diag.Fail on an unsafe program (SSD201/202/203, the codes
+    {!Ssd_lint} reports) or one that is not stratifiable (SSD210). *)
 val eval : ?budget:Ssd.Budget.t -> edb:edb -> program -> (string * Ssd.Label.t list list) list
 
 (** [eval] plus the completeness verdict (see {!Ssd.Budget.outcome}). *)
@@ -126,7 +120,7 @@ module Incremental : sig
 
   (** Evaluate [program] over [edb] and retain the full model.  The state
       reads [edb] in place and keeps it by reference, never modified.
-      @raise Unsafe on safety violations, or (code SSD213) if the
+      @raise Ssd_diag.Fail on safety violations, or (code SSD213) if the
       program is not {!supported}. *)
   val prepare : edb:edb -> program -> state
 

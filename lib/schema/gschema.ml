@@ -1,12 +1,11 @@
 module Graph = Ssd.Graph
 module Label = Ssd.Label
+module Scan = Ssd.Scan
 
 type t = {
   root : int;
   out : (Ssd_automata.Lpred.t * int) list array;
 }
-
-exception Parse_error of string
 
 module Builder = struct
   type t = {
@@ -58,138 +57,75 @@ let step s nodes p =
 (* ------------------------------------------------------------------ *)
 
 (* A schema document is data syntax whose label positions hold predicate
-   expressions.  The node structure is parsed here; the predicate text —
-   everything up to the next top-level ':', ',' or '}' — is delegated to
-   the regex parser and must denote a single predicate (alternation [p|q]
-   is folded into Ssd_automata.Lpred.Or). *)
-
-let rec pred_of_regex = function
-  | Ssd_automata.Regex.Atom p -> p
-  | Ssd_automata.Regex.Alt (a, b) -> Ssd_automata.Lpred.Or (pred_of_regex a, pred_of_regex b)
-  | r ->
-    raise
-      (Parse_error
-         ("schema edges carry label predicates, not path expressions: " ^ Ssd_automata.Regex.to_string r))
-
-let parse_pred text =
-  match Ssd_automata.Regex.parse text with
-  | r -> pred_of_regex r
-  | exception Ssd_automata.Regex.Parse_error msg -> raise (Parse_error msg)
+   expressions, read by the regex parser from the same cursor (it stops
+   at the ':', ',' or '}' that ends the predicate).  The expression must
+   denote a single predicate: alternation [p|q] is folded into
+   Ssd_automata.Lpred.Or. *)
 
 type pstate = {
-  src : string;
-  mutable pos : int;
+  c : Scan.t;
   builder : Builder.t;
-  names : (string, int) Hashtbl.t;
+  names : (string, int * (int * int)) Hashtbl.t; (* node, span of first use *)
   bound : (string, unit) Hashtbl.t;
 }
 
-let fail st msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" st.pos msg))
+let parse_pred c =
+  Scan.skip_ws c;
+  let at = c.pos in
+  let rec pred_of_regex = function
+    | Ssd_automata.Regex.Atom p -> p
+    | Ssd_automata.Regex.Alt (a, b) -> Ssd_automata.Lpred.Or (pred_of_regex a, pred_of_regex b)
+    | r ->
+      Scan.fail ~at c
+        ("schema edges carry label predicates, not path expressions: "
+        ^ Ssd_automata.Regex.to_string r)
+  in
+  pred_of_regex (Ssd_automata.Regex.read c)
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    st.pos <- st.pos + 1;
-    skip_ws st
-  | Some '#' when st.pos + 1 < String.length st.src && st.src.[st.pos + 1] = '#' ->
-    (* '##' starts a comment ('#' alone is a type-test predicate). *)
-    while peek st <> None && peek st <> Some '\n' do
-      st.pos <- st.pos + 1
-    done;
-    skip_ws st
-  | _ -> ()
-
-let lex_name st =
-  let start = st.pos in
-  while
-    match peek st with
-    | Some c -> Label.is_ident_char c
-    | None -> false
-  do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then fail st "expected a name";
-  String.sub st.src start (st.pos - start)
-
-(* Scan predicate text up to the next ':' ',' or '}' outside parentheses
-   and string quotes. *)
-let lex_pred_text st =
-  let start = st.pos in
-  let depth = ref 0 in
-  let in_string = ref false in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | None -> continue := false
-    | Some '"' ->
-      (* Toggle string state; escaped quotes are handled by the lookback check below. *)
-      if !in_string && st.pos > 0 && st.src.[st.pos - 1] = '\\' then ()
-      else in_string := not !in_string;
-      st.pos <- st.pos + 1
-    | Some _ when !in_string -> st.pos <- st.pos + 1
-    | Some '(' ->
-      incr depth;
-      st.pos <- st.pos + 1
-    | Some ')' ->
-      decr depth;
-      st.pos <- st.pos + 1
-    | Some (':' | ',' | '}') when !depth = 0 -> continue := false
-    | Some _ -> st.pos <- st.pos + 1
-  done;
-  let text = String.trim (String.sub st.src start (st.pos - start)) in
-  if text = "" then fail st "expected a label predicate";
-  text
-
-let node_for_name st name =
+let node_for_name st name span =
   match Hashtbl.find_opt st.names name with
-  | Some id -> id
+  | Some (id, _) -> id
   | None ->
     let id = Builder.add_node st.builder in
-    Hashtbl.add st.names name id;
+    Hashtbl.add st.names name (id, span);
     id
 
 let rec parse_node st =
-  skip_ws st;
-  match peek st with
-  | Some '&' ->
-    st.pos <- st.pos + 1;
-    let name = lex_name st in
-    if Hashtbl.mem st.bound name then fail st ("node &" ^ name ^ " bound twice");
+  let c = st.c in
+  Scan.skip_ws c;
+  let at = c.pos in
+  match Scan.peek c with
+  | '&' ->
+    Scan.advance c;
+    let name = Scan.ident c in
+    if Hashtbl.mem st.bound name then Scan.fail ~at c ("node &" ^ name ^ " bound twice");
     Hashtbl.add st.bound name ();
-    let id = node_for_name st name in
+    let id = node_for_name st name (at, c.pos) in
     let body = parse_node st in
-    (* Schemas have no ε-edges; copy the body's edges onto the named node
-       lazily by remembering an alias instead: simplest is to make the
-       named node the body by parsing into it. *)
+    (* Schemas have no ε-edges: the named node gets a copy of the body's
+       edges. *)
     List.iter (fun (p, v) -> Builder.add_edge st.builder id p v) (alias_edges st body);
     id
-  | Some '*' ->
-    st.pos <- st.pos + 1;
-    let name = lex_name st in
-    node_for_name st name
-  | Some '{' ->
-    st.pos <- st.pos + 1;
+  | '*' ->
+    Scan.advance c;
+    let name = Scan.ident c in
+    node_for_name st name (at, c.pos)
+  | '{' ->
+    Scan.advance c;
     let id = Builder.add_node st.builder in
-    let rec entries () =
-      skip_ws st;
-      match peek st with
-      | Some '}' -> st.pos <- st.pos + 1
-      | Some _ ->
+    Scan.skip_ws c;
+    if not (Scan.eat c "}") then begin
+      parse_entry st id;
+      Scan.skip_ws c;
+      while Scan.eat c "," do
         parse_entry st id;
-        skip_ws st;
-        (match peek st with
-         | Some ',' ->
-           st.pos <- st.pos + 1;
-           entries ()
-         | Some '}' -> st.pos <- st.pos + 1
-         | _ -> fail st "expected ',' or '}'")
-      | None -> fail st "unterminated '{'"
-    in
-    entries ();
+        Scan.skip_ws c
+      done;
+      if Scan.eof c then Scan.fail c "unterminated '{'";
+      Scan.expect c "}" "expected ',' or '}'"
+    end;
     id
-  | _ -> fail st "expected '{', '&' or '*'"
+  | _ -> Scan.fail c "expected '{', '&' or '*'"
 
 and alias_edges st body =
   (* Edges of a just-parsed body node; used to inline it under a '&name'
@@ -199,40 +135,38 @@ and alias_edges st body =
     (List.rev b.Builder.edges)
 
 and parse_entry st parent =
-  let text = lex_pred_text st in
-  let pred = parse_pred text in
-  skip_ws st;
-  match peek st with
-  | Some ':' ->
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    (match peek st with
-     | Some ('{' | '&' | '*') ->
-       let v = parse_node st in
-       Builder.add_edge st.builder parent pred v
-     | _ ->
-       (* bare predicate value: sugar for {pred: {}} *)
-       let text = lex_pred_text st in
-       let inner = parse_pred text in
-       let v = Builder.add_node st.builder in
-       let leafn = Builder.add_node st.builder in
-       Builder.add_edge st.builder v inner leafn;
-       Builder.add_edge st.builder parent pred v)
-  | _ ->
+  let c = st.c in
+  let pred = parse_pred c in
+  Scan.skip_ws c;
+  if Scan.eat c ":" then begin
+    Scan.skip_ws c;
+    match Scan.peek c with
+    | '{' | '&' | '*' ->
+      let v = parse_node st in
+      Builder.add_edge st.builder parent pred v
+    | _ ->
+      (* bare predicate value: sugar for {pred: {}} *)
+      let inner = parse_pred c in
+      let v = Builder.add_node st.builder in
+      let leafn = Builder.add_node st.builder in
+      Builder.add_edge st.builder v inner leafn;
+      Builder.add_edge st.builder parent pred v
+  end
+  else
     let leafn = Builder.add_node st.builder in
     Builder.add_edge st.builder parent pred leafn
 
 let parse src =
-  let st =
-    { src; pos = 0; builder = Builder.create (); names = Hashtbl.create 8; bound = Hashtbl.create 8 }
-  in
+  (* '##' starts a comment ('#' alone is a type-test predicate) *)
+  let c = Scan.make ~comments:[ "##" ] ~code:"SSD006" src in
+  let st = { c; builder = Builder.create (); names = Hashtbl.create 8; bound = Hashtbl.create 8 } in
   let r = parse_node st in
-  skip_ws st;
-  if peek st <> None then fail st "trailing input after schema";
+  Scan.skip_ws c;
+  if not (Scan.eof c) then Scan.fail c "trailing input after schema";
   Hashtbl.iter
-    (fun name _ ->
+    (fun name (_, (at, stop)) ->
       if not (Hashtbl.mem st.bound name) then
-        fail st (Printf.sprintf "reference *%s has no &%s binding" name name))
+        Scan.fail ~at ~stop c (Printf.sprintf "reference *%s has no &%s binding" name name))
     st.names;
   Builder.set_root st.builder r;
   Builder.finish st.builder

@@ -18,8 +18,6 @@
 
 type t
 
-exception Parse_error of string
-
 (** {1 Construction} *)
 
 module Builder : sig
@@ -33,6 +31,9 @@ module Builder : sig
   val finish : t -> schema
 end
 
+(** A syntax error, in the node structure or in a predicate, raises
+    {!Ssd_diag.Fail} with code SSD006 and the span of the failing
+    offset.  [##] starts a comment. *)
 val parse : string -> t
 
 val root : t -> int

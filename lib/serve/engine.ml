@@ -279,10 +279,7 @@ let shed_response (opts : Proto.options) load =
 (* Any exception that escapes parsing or evaluation becomes an SSD553
    error response; diagnostics keep their own code. *)
 let diag_of_exn = function
-  | Ssd_diag.Fail d
-  | Relstore.Datalog.Unsafe d
-  | Relstore.Datalog.Not_stratified d ->
-    d
+  | Ssd_diag.Fail d -> d
   | e ->
     Ssd_diag.make Ssd_diag.Error ~code:"SSD553"
       (Printf.sprintf "request failed: %s" (Printexc.to_string e))

@@ -76,7 +76,9 @@ let put_string buf s =
   put_varint buf (String.length s);
   Buffer.add_string buf s
 
-let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
+(* -0.0 is written as 0.0: the label it equals (see [Label.compare]), so
+   equal graphs encode to equal bytes. *)
+let put_float buf f = Buffer.add_int64_le buf (Int64.bits_of_float (if f = 0.0 then 0.0 else f))
 
 (* Inline label encoding (no string table): tag byte then payload.
    Segments that want dictionary compression (the store's CSR segment)

@@ -60,21 +60,19 @@ let decode_dict data =
   B.expect_end r;
   dict
 
-(* Binary search; the encoder only ever looks up present strings. *)
-let dict_index dict s =
-  let lo = ref 0 and hi = ref (Array.length dict) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if String.compare dict.(mid) s < 0 then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length dict && String.equal dict.(!lo) s then !lo
-  else invalid_arg (Printf.sprintf "Seg.dict_index: %S not in dictionary" s)
-
 (* ------------------------------------------------------------------ *)
 (* Graph (CSR)                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let encode_graph ~dict g =
+  (* string -> dictionary index, built once per encode *)
+  let index = Hashtbl.create (Array.length dict) in
+  Array.iteri (fun i s -> Hashtbl.replace index s i) dict;
+  let dict_index s =
+    match Hashtbl.find_opt index s with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Seg.encode_graph: %S not in dictionary" s)
+  in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf graph_magic;
   let n = Graph.n_nodes g in
@@ -99,13 +97,13 @@ let encode_graph ~dict g =
           B.put_float buf f
         | Graph.Lab (Label.Str s) ->
           Buffer.add_char buf '\003';
-          B.put_varint buf (dict_index dict s)
+          B.put_varint buf (dict_index s)
         | Graph.Lab (Label.Bool bl) ->
           Buffer.add_char buf '\004';
           Buffer.add_char buf (if bl then '\001' else '\000')
         | Graph.Lab (Label.Sym s) ->
           Buffer.add_char buf '\005';
-          B.put_varint buf (dict_index dict s));
+          B.put_varint buf (dict_index s));
         B.put_varint buf v)
       (Graph.succ g u)
   done;

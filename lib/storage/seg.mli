@@ -20,7 +20,9 @@
     Node identities and edge order survive a round-trip exactly (not just
     up to bisimilarity): the format stores the graph, not its value.  The
     encoding is canonical, so re-encoding a decoded graph is
-    byte-identical.
+    byte-identical.  A float label [-0.0] is written as [0.0], the label
+    it equals under {!Ssd.Label.compare}, so it decodes as [0.0]; every
+    other float keeps its exact bits.
 
     Decoders raise only the typed {!Bytesio.Corrupt} on any input,
     however truncated or bit-flipped (fuzz-tested): [offset] is the byte

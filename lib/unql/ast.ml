@@ -115,20 +115,10 @@ let pattern_binders p =
   in
   List.sort_uniq String.compare (go [] p)
 
-(* Structural restrictions on sfun definitions, carrying the same
-   stable codes the static analyzer reports (SSD306/308/309), so a
-   runtime rejection and a lint finding for one defect agree. *)
-exception Ill_formed of Ssd_diag.t
-
-let ill_formed ~code fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Ill_formed (Ssd_diag.make Ssd_diag.Error ~code msg)))
-    fmt
-
-let () =
-  Printexc.register_printer (function
-    | Ill_formed d -> Some ("Unql.Ast.Ill_formed: " ^ Ssd_diag.to_string d)
-    | _ -> None)
+(* Structural restrictions on sfun definitions raise [Ssd_diag.Fail]
+   under the same stable codes the static analyzer reports
+   (SSD306/308/309), so a runtime rejection and a lint finding for one
+   defect agree. *)
 
 (** Free tree variables of an expression (label names are not included:
     an unbound label name just denotes a symbol literal). *)
@@ -188,7 +178,7 @@ let check_sfun def =
       | Let (_, a, b) -> (go a; go b)
       | Letsfun (d, e) ->
         if d.fname = def.fname then
-          ill_formed ~code:"SSD309" "sfun %s shadowed inside its own body" def.fname;
+          Ssd_diag.error ~code:"SSD309" "sfun %s shadowed inside its own body" def.fname;
         List.iter (fun c -> go c.cbody) d.cases;
         go e
       | App (f, arg) ->
@@ -196,7 +186,7 @@ let check_sfun def =
           match arg with
           | Var v when v = c.ctree -> ()
           | _ ->
-            ill_formed ~code:"SSD306"
+            Ssd_diag.error ~code:"SSD306"
               "recursive call %s(...) must be applied to the case's tree variable %s"
               def.fname c.ctree
         end
@@ -210,7 +200,7 @@ let check_sfun def =
     in
     (match c.cstep with
      | Sregex _ ->
-       ill_formed ~code:"SSD308" "sfun case patterns match a single edge, not a path"
+       Ssd_diag.error ~code:"SSD308" "sfun case patterns match a single edge, not a path"
      | Slit _ | Sbind _ | Spred _ -> ());
     go c.cbody
   in

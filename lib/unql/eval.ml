@@ -9,20 +9,9 @@ module Metrics = Ssd_obs.Metrics
 module Trace = Ssd_obs.Trace
 open Ast
 
-(* Runtime failures carry a full diagnostic under the same stable codes
-   the static analyzer predicts them with (SSD303/304/305/307): a query
-   that lints clean cannot reach any of these raises. *)
-exception Runtime_error of Ssd_diag.t
-
-let runtime_error ~code fmt =
-  Printf.ksprintf
-    (fun msg -> raise (Runtime_error (Ssd_diag.make Ssd_diag.Error ~code msg)))
-    fmt
-
-let () =
-  Printexc.register_printer (function
-    | Runtime_error d -> Some ("Unql.Eval.Runtime_error: " ^ Ssd_diag.to_string d)
-    | _ -> None)
+(* Runtime failures raise [Ssd_diag.Fail] under the same stable codes the
+   static analyzer predicts them with (SSD303/304/305/307): a query that
+   lints clean cannot reach any of these raises. *)
 
 (* Execution counters (lib/obs): what evaluation actually does, as
    opposed to what the optimizer rewrote.  All report to
@@ -110,7 +99,7 @@ let resolve_label env = function
     match Env.find_opt x env.vars with
     | Some (Elabel l) -> l
     | Some (Enode _) ->
-      runtime_error ~code:"SSD304" "tree variable %s used in label position" x
+      Ssd_diag.error ~code:"SSD304" "tree variable %s used in label position" x
     | None -> Label.Sym x)
 
 let resolve_atom env = function
@@ -119,7 +108,7 @@ let resolve_atom env = function
     match Env.find_opt x env.vars with
     | Some (Elabel l) -> l
     | Some (Enode _) ->
-      runtime_error ~code:"SSD304" "tree variable %s used in a condition" x
+      Ssd_diag.error ~code:"SSD304" "tree variable %s used in a condition" x
     | None -> Label.Sym x)
 
 (* Comparisons promote Int/Float pairs so that "integers greater than
@@ -271,7 +260,7 @@ let bind_label env x l k =
   match Env.find_opt x env.vars with
   | Some (Elabel l0) -> if Label.equal l l0 then k env else []
   | Some (Enode _) ->
-    runtime_error ~code:"SSD304" "variable %s bound as both tree and label" x
+    Ssd_diag.error ~code:"SSD304" "variable %s bound as both tree and label" x
   | None -> k { env with vars = Env.add x (Elabel l) env.vars }
 
 let rec match_steps ctx env node steps k =
@@ -371,7 +360,7 @@ let rec eval_expr ctx env = function
       let v = Store.add_node ctx.st in
       Store.add_edge ctx.st u l v;
       u
-    | None -> runtime_error ~code:"SSD303" "unbound variable %s" x)
+    | None -> Ssd_diag.error ~code:"SSD303" "unbound variable %s" x)
   | Tree entries ->
     let u = Store.add_node ctx.st in
     List.iter
@@ -410,7 +399,7 @@ let rec eval_expr ctx env = function
         List.iter
           (fun v ->
             if not (List.mem v allowed) then
-              ill_formed ~code:"SSD307" "sfun %s: body mentions free variable %s"
+              Ssd_diag.error ~code:"SSD307" "sfun %s: body mentions free variable %s"
                 def.fname v)
           (free_tree_vars c.cbody))
       def.cases;
@@ -419,7 +408,7 @@ let rec eval_expr ctx env = function
     eval_expr ctx { env with funs = Env.add def.fname closure env.funs } e
   | App (f, arg) -> (
     match Env.find_opt f env.funs with
-    | None -> runtime_error ~code:"SSD305" "unknown function %s" f
+    | None -> Ssd_diag.error ~code:"SSD305" "unknown function %s" f
     | Some closure ->
       let node = eval_expr ctx env arg in
       apply ctx closure node)

@@ -13,7 +13,7 @@
       is what makes [rec] well-defined on cycles: no unfolding ever
       happens.
 
-    Restrictions (checked, raising {!Ast.Ill_formed}):
+    Restrictions (checked, raising {!Ssd_diag.Fail} SSD306/307/308/309):
     - recursive calls inside an [sfun] body apply the function to the
       case's tree variable only;
     - [sfun] bodies are closed: their only free value variables are the
@@ -21,10 +21,9 @@
       independent of the calling environment and makes per-function
       memoization sound. *)
 
-(** Runtime failures carry a {!Ssd_diag.t} whose [code] matches the
+(** Runtime failures raise {!Ssd_diag.Fail} whose [code] matches the
     static analyzer's prediction for the same defect (SSD303 unbound
     variable, SSD304 label/tree conflict, SSD305 unknown function). *)
-exception Runtime_error of Ssd_diag.t
 
 type options = {
   reorder_clauses : bool;

@@ -1,9 +1,8 @@
 module Label = Ssd.Label
 module Regex = Ssd_automata.Regex
 module Lpred = Ssd_automata.Lpred
+module Scan = Ssd.Scan
 open Ast
-
-exception Parse_error of string
 
 (* Byte-offset marks recorded during the parse, in parse order: one per
    pattern step and one per pattern binder ([\x] at pattern position).
@@ -20,253 +19,83 @@ type marks = {
 }
 
 type st = {
-  src : string;
-  mutable pos : int;
+  c : Scan.t;
   mutable marks : (mark_kind * int * int) list; (* reversed *)
 }
 
-let record st kind start = st.marks <- (kind, start, st.pos) :: st.marks
+let record st kind start = st.marks <- (kind, start, st.c.pos) :: st.marks
+let fail st msg = Scan.fail st.c msg
+let peek st = Scan.peek st.c
+let advance st = Scan.advance st.c
+let eat st s msg = Scan.expect st.c s msg
+let lex_ident st = Scan.ident st.c
+let eat_word st w = Scan.eat_word st.c w
 
-let fail st msg =
-  let line = ref 1 and bol = ref 0 in
-  String.iteri
-    (fun i c ->
-      if i < st.pos && c = '\n' then begin
-        incr line;
-        bol := i + 1
-      end)
-    st.src;
-  raise
-    (Parse_error
-       (Printf.sprintf "line %d, column %d (offset %d): %s" !line
-          (st.pos - !bol + 1) st.pos msg))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | Some '#' ->
-    while peek st <> None && peek st <> Some '\n' do
-      advance st
-    done;
-    skip_ws st
-  | _ -> ()
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
-
-let eat st s msg = if looking_at st s then st.pos <- st.pos + String.length s else fail st msg
-
-let lex_ident st =
-  let start = st.pos in
-  while
-    match peek st with
-    | Some c -> Label.is_ident_char c
-    | None -> false
-  do
-    advance st
-  done;
-  if st.pos = start then fail st "expected an identifier";
-  String.sub st.src start (st.pos - start)
-
-(* Peek the next identifier without consuming (for keyword dispatch). *)
-let peek_word st =
-  skip_ws st;
-  match peek st with
-  | Some c when Label.is_ident_start c ->
-    let p = st.pos in
-    let w = lex_ident st in
-    st.pos <- p;
-    Some w
-  | _ -> None
-
-let eat_word st w =
-  skip_ws st;
-  let p = st.pos in
-  match peek st with
-  | Some c when Label.is_ident_start c ->
-    if lex_ident st = w then true
-    else begin
-      st.pos <- p;
-      false
-    end
-  | _ -> false
-
-let lex_string st =
-  eat st "\"" "expected '\"'";
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string literal"
-    | Some '"' -> advance st
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-       | Some 'n' -> Buffer.add_char buf '\n'
-       | Some 't' -> Buffer.add_char buf '\t'
-       | Some 'r' -> Buffer.add_char buf '\r'
-       | Some c -> Buffer.add_char buf c
-       | None -> fail st "unterminated escape");
-      advance st;
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let lex_number st =
-  let start = st.pos in
-  let numchar c =
-    (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-  in
-  while (match peek st with Some c -> numchar c | None -> false) do
-    advance st
-  done;
-  let s = String.sub st.src start (st.pos - start) in
-  match int_of_string_opt s with
-  | Some i -> Label.Int i
-  | None ->
-    (match float_of_string_opt s with
-     | Some f -> Label.Float f
-     | None -> fail st ("bad numeric literal " ^ s))
-
-(* A label literal in expression context (numbers, strings, booleans). *)
+(* A label literal in expression context (numbers, strings). *)
 let try_label_literal st =
-  skip_ws st;
+  Scan.skip_ws st.c;
   match peek st with
-  | Some '"' -> Some (Label.Str (lex_string st))
-  | Some c when c = '-' || (c >= '0' && c <= '9') -> Some (lex_number st)
+  | '"' | '-' | '0' .. '9' -> Some (Label.read st.c)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Pattern steps                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Scan regex text between '<' and the matching '>' (a '>' inside
-   parentheses — comparison predicates — does not close). *)
-let lex_regex_text st =
-  eat st "<" "expected '<'";
-  let start = st.pos in
-  let depth = ref 0 in
-  let in_string = ref false in
-  let closed = ref false in
-  while not !closed do
-    match peek st with
-    | None -> fail st "unterminated <regex>"
-    | Some '"' ->
-      in_string := not !in_string;
-      advance st
-    | Some _ when !in_string -> advance st
-    | Some '(' ->
-      incr depth;
-      advance st
-    | Some ')' ->
-      decr depth;
-      advance st
-    | Some '>' when !depth = 0 ->
-      closed := true
-    | Some _ -> advance st
-  done;
-  let text = String.sub st.src start (st.pos - start) in
-  advance st;
-  (* consume '>' *)
-  text
+(* A step ends at '.', ',', ':' or '}' outside parentheses. *)
+let is_step_end = function '.' | ',' | ':' | '}' | '\000' -> true | _ -> false
 
-(* Scan single-step predicate text up to a delimiter. *)
-let lex_step_text st =
-  let start = st.pos in
-  let depth = ref 0 in
-  let in_string = ref false in
-  let stop = ref false in
-  while not !stop do
-    match peek st with
-    | None -> stop := true
-    | Some '"' ->
-      in_string := not !in_string;
-      advance st
-    | Some _ when !in_string -> advance st
-    | Some '(' ->
-      incr depth;
-      advance st
-    | Some ')' ->
-      decr depth;
-      advance st
-    | Some ('.' | ',' | ':' | '}') when !depth = 0 -> stop := true
-    | Some _ -> advance st
-  done;
-  let text = String.trim (String.sub st.src start (st.pos - start)) in
-  if text = "" then fail st "expected a pattern step";
-  text
-
-let is_bare_ident s =
-  s <> ""
-  && Label.is_ident_start s.[0]
-  && String.for_all Label.is_ident_char s
-  && s <> "true" && s <> "false"
-
-let rec pred_of_regex st = function
-  | Regex.Atom p -> p
-  | Regex.Alt (a, b) -> Lpred.Or (pred_of_regex st a, pred_of_regex st b)
-  | r ->
-    fail st
-      ("path operators must be wrapped in <...>, got: " ^ Regex.to_string r)
-
-let step_of_text st text =
-  if text = "_" then Spred Ssd_automata.Lpred.Any
-  else if is_bare_ident text then Slit (Lname text)
-  else
-    match Regex.parse text with
-    | Regex.Atom (Lpred.Exact l) -> Slit (Llit l)
-    | r -> Spred (pred_of_regex st r)
-    | exception Regex.Parse_error msg -> fail st msg
+(* A bare identifier step is a label name (resolved to a label variable
+   when bound); the cursor is left at the step's delimiter. *)
+let bare_ident st =
+  let c = st.c in
+  let start = c.pos in
+  if not (Scan.is_ident_start (peek st)) then None
+  else begin
+    let name = Scan.word c in
+    Scan.skip_space c;
+    if is_step_end (peek st) && not (List.mem name [ "_"; "true"; "false" ]) then Some name
+    else begin
+      c.pos <- start;
+      None
+    end
+  end
 
 let parse_step_at st =
+  let c = st.c in
   match peek st with
-  | Some '\\' ->
+  | '\\' ->
     advance st;
     Sbind (lex_ident st)
-  | Some '<' -> (
-    let text = lex_regex_text st in
-    let r =
-      match Regex.parse text with
-      | r -> r
-      | exception Regex.Parse_error msg -> fail st msg
-    in
+  | '<' -> (
+    advance st;
+    let r = Regex.read ~stop:Regex.Stop_gt c in
+    eat st ">" "expected '>' closing <regex>";
     (* optional path binder: <re> as \p *)
-    let saved = st.pos in
-    skip_ws st;
-    if looking_at st "as" then begin
-      st.pos <- st.pos + 2;
-      skip_ws st;
-      match peek st with
-      | Some '\\' ->
-        advance st;
-        Sregex (r, Some (lex_ident st))
-      | _ ->
-        st.pos <- saved;
-        Sregex (r, None)
-    end
+    let saved = c.pos in
+    Scan.skip_ws st.c;
+    if Scan.eat c "as" && (Scan.skip_ws st.c; Scan.eat c "\\") then Sregex (r, Some (lex_ident st))
     else begin
-      st.pos <- saved;
+      c.pos <- saved;
       Sregex (r, None)
     end)
-  | _ -> step_of_text st (lex_step_text st)
+  | _ -> (
+    match bare_ident st with
+    | Some name -> Slit (Lname name)
+    | None -> (
+      let at = c.pos in
+      let rec pred_of_regex = function
+        | Regex.Atom p -> p
+        | Regex.Alt (a, b) -> Lpred.Or (pred_of_regex a, pred_of_regex b)
+        | r -> Scan.fail ~at c ("path operators must be wrapped in <...>, got: " ^ Regex.to_string r)
+      in
+      match Regex.read ~stop:Regex.Stop_dot c with
+      | Regex.Atom (Lpred.Exact l) -> Slit (Llit l)
+      | r -> Spred (pred_of_regex r)))
 
 let parse_step st =
-  skip_ws st;
-  let step_start = st.pos in
+  Scan.skip_ws st.c;
+  let step_start = st.c.pos in
   let step = parse_step_at st in
   record st Mstep step_start;
   step
@@ -274,12 +103,8 @@ let parse_step st =
 let parse_steps st =
   let rec go acc =
     let acc = parse_step st :: acc in
-    skip_ws st;
-    if peek st = Some '.' then begin
-      advance st;
-      go acc
-    end
-    else List.rev acc
+    Scan.skip_ws st.c;
+    if Scan.eat st.c "." then go acc else List.rev acc
   in
   go []
 
@@ -288,40 +113,40 @@ let parse_steps st =
 (* ------------------------------------------------------------------ *)
 
 let rec parse_pattern_at st =
-  skip_ws st;
+  Scan.skip_ws st.c;
   match peek st with
-  | Some '\\' ->
-    let start = st.pos in
+  | '\\' ->
+    let start = st.c.pos in
     advance st;
     let x = lex_ident st in
     record st Mbind start;
     Pbind x
-  | Some '_' when (match peek2 st with Some c -> not (Label.is_ident_char c) | None -> true) ->
+  | '_' when (not (Scan.is_ident_char (Scan.peek_at st.c 1))) ->
     advance st;
     Pany
-  | Some '{' ->
+  | '{' ->
     advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
+    Scan.skip_ws st.c;
+    if peek st = '}' then begin
       advance st;
       Pedges []
     end
     else begin
       let entry () =
         let steps = parse_steps st in
-        skip_ws st;
-        if peek st = Some ':' then begin
+        Scan.skip_ws st.c;
+        if peek st = ':' then begin
           advance st;
           (steps, parse_pattern_at st)
         end
         else (steps, Pany)
       in
       let entries = ref [ entry () ] in
-      skip_ws st;
-      while peek st = Some ',' do
+      Scan.skip_ws st.c;
+      while peek st = ',' do
         advance st;
         entries := entry () :: !entries;
-        skip_ws st
+        Scan.skip_ws st.c
       done;
       eat st "}" "expected '}' after pattern entries";
       Pedges (List.rev !entries)
@@ -333,16 +158,16 @@ let rec parse_pattern_at st =
 (* ------------------------------------------------------------------ *)
 
 let parse_atom st =
-  skip_ws st;
+  Scan.skip_ws st.c;
   match try_label_literal st with
   | Some l -> Alit l
   | None -> (
     match peek st with
-    | Some '\\' ->
+    | '\\' ->
       (* Tolerate the binding-occurrence spelling \l in conditions. *)
       advance st;
       Aname (lex_ident st)
-    | Some c when Label.is_ident_start c -> (
+    | ch when Scan.is_ident_start ch -> (
       let id = lex_ident st in
       match id with
       | "true" -> Alit (Label.Bool true)
@@ -351,22 +176,19 @@ let parse_atom st =
     | _ -> fail st "expected a label atom")
 
 let parse_cmpop st =
-  skip_ws st;
-  if looking_at st "!=" then (st.pos <- st.pos + 2; Neq)
-  else if looking_at st "<=" then (st.pos <- st.pos + 2; Le)
-  else if looking_at st ">=" then (st.pos <- st.pos + 2; Ge)
-  else if looking_at st "=" then (advance st; Eq)
-  else if looking_at st "<" then (advance st; Lt)
-  else if looking_at st ">" then (advance st; Gt)
+  Scan.skip_ws st.c;
+  let c = st.c in
+  if Scan.eat c "!=" then Neq
+  else if Scan.eat c "<=" then Le
+  else if Scan.eat c ">=" then Ge
+  else if Scan.eat c "=" then Eq
+  else if Scan.eat c "<" then Lt
+  else if Scan.eat c ">" then Gt
   else fail st "expected a comparison operator"
 
-let type_test_name = function
-  | "isint" -> Some "int"
-  | "isfloat" -> Some "float"
-  | "isstring" -> Some "string"
-  | "isbool" -> Some "bool"
-  | "issymbol" -> Some "symbol"
-  | _ -> None
+let type_tests =
+  [ ("isint", "int"); ("isfloat", "float"); ("isstring", "string"); ("isbool", "bool");
+    ("issymbol", "symbol") ]
 
 type parsed_case = {
   case_name : string;
@@ -388,58 +210,42 @@ and parse_not st =
   else parse_base_cond st
 
 and parse_base_cond st =
-  skip_ws st;
-  match peek_word st with
-  | Some "isempty" ->
-    ignore (eat_word st "isempty");
-    skip_ws st;
+  Scan.skip_ws st.c;
+  if eat_word st "isempty" then begin
+    Scan.skip_ws st.c;
     eat st "(" "isempty expects '('";
     let e = parse_expr st in
-    skip_ws st;
+    Scan.skip_ws st.c;
     eat st ")" "isempty expects ')'";
     Cempty e
-  | Some "equal" ->
-    ignore (eat_word st "equal");
-    skip_ws st;
+  end
+  else if eat_word st "equal" then begin
+    Scan.skip_ws st.c;
     eat st "(" "equal expects '('";
     let e1 = parse_expr st in
-    skip_ws st;
+    Scan.skip_ws st.c;
     eat st "," "equal expects ','";
     let e2 = parse_expr st in
-    skip_ws st;
+    Scan.skip_ws st.c;
     eat st ")" "equal expects ')'";
     Cequal (e1, e2)
-  | Some (("startswith" | "contains") as f) ->
-    ignore (eat_word st f);
-    skip_ws st;
-    eat st "(" (f ^ " expects '('");
-    let a = parse_atom st in
-    skip_ws st;
-    eat st "," (f ^ " expects ','");
-    skip_ws st;
-    let s =
-      match try_label_literal st with
-      | Some (Label.Str s) -> s
-      | _ -> fail st (f ^ " expects a string literal")
-    in
-    skip_ws st;
-    eat st ")" (f ^ " expects ')'");
-    if f = "startswith" then Cstarts (a, s) else Ccontains (a, s)
-  | Some w when type_test_name w <> None ->
-    ignore (eat_word st w);
-    let t = Option.get (type_test_name w) in
-    skip_ws st;
-    eat st "(" (w ^ " expects '('");
-    let a = parse_atom st in
-    skip_ws st;
-    eat st ")" (w ^ " expects ')'");
-    Cistype (t, a)
-  | _ ->
-    skip_ws st;
-    if peek st = Some '(' then begin
+  end
+  else if eat_word st "startswith" then string_test st "startswith" (fun a s -> Cstarts (a, s))
+  else if eat_word st "contains" then string_test st "contains" (fun a s -> Ccontains (a, s))
+  else
+    match List.find_opt (fun (w, _) -> eat_word st w) type_tests with
+    | Some (w, t) ->
+      Scan.skip_ws st.c;
+      eat st "(" (w ^ " expects '('");
+      let a = parse_atom st in
+      Scan.skip_ws st.c;
+      eat st ")" (w ^ " expects ')'");
+      Cistype (t, a)
+    | None ->
+    if peek st = '(' then begin
       advance st;
       let c = parse_cond st in
-      skip_ws st;
+      Scan.skip_ws st.c;
       eat st ")" "expected ')'";
       c
     end
@@ -453,36 +259,50 @@ and parse_base_cond st =
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
+and string_test st f make =
+  Scan.skip_ws st.c;
+  eat st "(" (f ^ " expects '('");
+  let a = parse_atom st in
+  Scan.skip_ws st.c;
+  eat st "," (f ^ " expects ','");
+  let s =
+    match try_label_literal st with
+    | Some (Label.Str s) -> s
+    | _ -> fail st (f ^ " expects a string literal")
+  in
+  Scan.skip_ws st.c;
+  eat st ")" (f ^ " expects ')'");
+  make a s
+
 and parse_expr st =
-  skip_ws st;
-  match peek_word st with
-  | Some "select" ->
-    ignore (eat_word st "select");
+  if eat_word st "select" then begin
     let head = parse_expr st in
     if not (eat_word st "where") then fail st "select expects 'where'";
     let clauses = ref [ parse_clause st ] in
-    skip_ws st;
-    while peek st = Some ',' do
+    Scan.skip_ws st.c;
+    while peek st = ',' do
       advance st;
       clauses := parse_clause st :: !clauses;
-      skip_ws st
+      Scan.skip_ws st.c
     done;
     Select (head, List.rev !clauses)
-  | Some "let" ->
-    ignore (eat_word st "let");
+  end
+  else if eat_word st "let" then begin
     if eat_word st "sfun" then begin
       let first = parse_case st in
       let cases = ref [ first ] in
-      skip_ws st;
-      while peek st = Some '|' do
+      Scan.skip_ws st.c;
+      while peek st = '|' do
         advance st;
+        Scan.skip_ws st.c;
+        let at = st.c.pos in
         let c = parse_case st in
         if c.case_name <> first.case_name then
-          fail st
+          Scan.fail ~at ~stop:(at + String.length c.case_name) st.c
             (Printf.sprintf "sfun cases must share one name (%s vs %s)" first.case_name
                c.case_name);
         cases := c :: !cases;
-        skip_ws st
+        Scan.skip_ws st.c
       done;
       if not (eat_word st "in") then fail st "let sfun expects 'in'";
       let body = parse_expr st in
@@ -492,71 +312,80 @@ and parse_expr st =
     end
     else begin
       let x = lex_ident st in
-      skip_ws st;
+      Scan.skip_ws st.c;
       eat st "=" "let expects '='";
       let a = parse_expr st in
       if not (eat_word st "in") then fail st "let expects 'in'";
       let b = parse_expr st in
       Let (x, a, b)
     end
-  | Some "if" ->
-    ignore (eat_word st "if");
+  end
+  else if eat_word st "if" then begin
     let c = parse_cond st in
     if not (eat_word st "then") then fail st "if expects 'then'";
     let a = parse_expr st in
     if not (eat_word st "else") then fail st "if expects 'else'";
     let b = parse_expr st in
     If (c, a, b)
-  | _ ->
+  end
+  else
     let left = parse_prim st in
     if eat_word st "union" then Union (left, parse_expr st) else left
 
 and parse_clause st =
-  skip_ws st;
+  Scan.skip_ws st.c;
   match peek st with
-  | Some ('\\' | '{' | '_') -> (
+  | '\\' | '{' | '_' -> (
     (* '\l <- e' is a generator but '\l = "x"' is a condition; try the
        generator parse and fall back (dropping any marks the attempt
        recorded). *)
-    let saved = st.pos in
+    let saved = st.c.pos in
     let saved_marks = st.marks in
     match
       let p = parse_pattern_at st in
-      skip_ws st;
-      if looking_at st "<-" then Some p else None
+      Scan.skip_ws st.c;
+      if Scan.looking_at st.c "<-" then Some p else None
     with
     | Some p ->
       eat st "<-" "pattern clause expects '<-'";
       let e = parse_expr st in
       Gen (p, e)
-    | None | (exception Parse_error _) ->
-      st.pos <- saved;
+    | None ->
+      st.c.pos <- saved;
       st.marks <- saved_marks;
-      Where (parse_cond st))
+      Where (parse_cond st)
+    | exception (Ssd_diag.Fail d as e) -> (
+      st.c.pos <- saved;
+      st.marks <- saved_marks;
+      (* both parses failed: the one that got further explains it *)
+      let reach (d : Ssd_diag.t) = Option.map (fun s -> (s.Ssd_diag.line, s.col)) d.span in
+      match parse_cond st with
+      | cond -> Where cond
+      | exception Ssd_diag.Fail d' when reach d > reach d' -> raise e))
   | _ -> Where (parse_cond st)
 
 and parse_prim st =
-  skip_ws st;
+  Scan.skip_ws st.c;
   match try_label_literal st with
   | Some l -> Tree [ (Llit l, Empty) ]
   | None -> (
     match peek st with
-    | Some '{' ->
+    | '{' ->
       advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
+      Scan.skip_ws st.c;
+      if peek st = '}' then begin
         advance st;
         Empty
       end
       else begin
         let entry () =
-          skip_ws st;
+          Scan.skip_ws st.c;
           let le =
             match try_label_literal st with
             | Some l -> Llit l
             | None -> (
               match peek st with
-              | Some c when Label.is_ident_start c -> (
+              | ch when Scan.is_ident_start ch -> (
                 let id = lex_ident st in
                 match id with
                 | "true" -> Llit (Label.Bool true)
@@ -564,40 +393,40 @@ and parse_prim st =
                 | _ -> Lname id)
               | _ -> fail st "expected a label")
           in
-          skip_ws st;
-          if peek st = Some ':' then begin
+          Scan.skip_ws st.c;
+          if peek st = ':' then begin
             advance st;
             (le, parse_expr st)
           end
           else (le, Empty)
         in
         let entries = ref [ entry () ] in
-        skip_ws st;
-        while peek st = Some ',' do
+        Scan.skip_ws st.c;
+        while peek st = ',' do
           advance st;
           entries := entry () :: !entries;
-          skip_ws st
+          Scan.skip_ws st.c
         done;
         eat st "}" "expected '}' after constructor entries";
         Tree (List.rev !entries)
       end
-    | Some '(' ->
+    | '(' ->
       advance st;
       let e = parse_expr st in
-      skip_ws st;
+      Scan.skip_ws st.c;
       eat st ")" "expected ')'";
       e
-    | Some '\\' ->
+    | '\\' ->
       (* Tolerate the binding-occurrence spelling for variable uses. *)
       advance st;
       Var (lex_ident st)
-    | Some c when Label.is_ident_start c -> (
+    | ch when Scan.is_ident_start ch -> (
       let id = lex_ident st in
-      skip_ws st;
-      if peek st = Some '(' then begin
+      Scan.skip_ws st.c;
+      if peek st = '(' then begin
         advance st;
         let arg = parse_expr st in
-        skip_ws st;
+        Scan.skip_ws st.c;
         eat st ")" ("expected ')' closing call to " ^ id);
         App (id, arg)
       end
@@ -608,38 +437,42 @@ and parse_prim st =
     | _ -> fail st "expected an expression")
 
 and parse_case st =
-  skip_ws st;
+  Scan.skip_ws st.c;
   let name = lex_ident st in
-  skip_ws st;
+  Scan.skip_ws st.c;
   eat st "(" "sfun case expects '('";
-  skip_ws st;
+  Scan.skip_ws st.c;
   eat st "{" "sfun case expects '{'";
   let cstep = parse_step st in
-  skip_ws st;
+  Scan.skip_ws st.c;
   eat st ":" "sfun case expects ':' before the tree variable";
-  skip_ws st;
+  Scan.skip_ws st.c;
   let tvar = lex_ident st in
-  skip_ws st;
+  Scan.skip_ws st.c;
   eat st "}" "sfun case expects '}'";
-  skip_ws st;
+  Scan.skip_ws st.c;
   eat st ")" "sfun case expects ')'";
-  skip_ws st;
+  Scan.skip_ws st.c;
   eat st "=" "sfun case expects '='";
   let body = parse_expr st in
   { case_name = name; case = { cstep; ctree = tvar; cbody = body } }
 
+let start src = { c = Scan.make ~comments:[ "#" ] ~code:"SSD001" src; marks = [] }
+
+let finish st what =
+  Scan.skip_ws st.c;
+  if not (Scan.eof st.c) then fail st ("trailing input after " ^ what)
+
 let parse_with_marks src =
-  let st = { src; pos = 0; marks = [] } in
+  let st = start src in
   let e = parse_expr st in
-  skip_ws st;
-  if peek st <> None then fail st "trailing input after expression";
+  finish st "expression";
   (e, { msrc = src; items = Array.of_list (List.rev st.marks) })
 
 let parse src = fst (parse_with_marks src)
 
 let parse_pattern src =
-  let st = { src; pos = 0; marks = [] } in
+  let st = start src in
   let p = parse_pattern_at st in
-  skip_ws st;
-  if peek st <> None then fail st "trailing input after pattern";
+  finish st "pattern";
   p

@@ -39,8 +39,6 @@
             {<(~movie)*."Allen">: \t} <- m
     v} *)
 
-exception Parse_error of string
-
 (** Byte-offset marks recorded in parse order — one [Mstep] per pattern
     step, one [Mbind] per pattern binder.  {!Lint} walks the AST in the
     same order to attach source spans to diagnostics. *)
@@ -53,6 +51,9 @@ type marks = {
   items : (mark_kind * int * int) array;
 }
 
+(** A syntax error — in the query or in a regex it embeds — raises
+    {!Ssd_diag.Fail} with code SSD001 and the span of the failing offset
+    in the whole query.  [#] starts a comment. *)
 val parse : string -> Ast.expr
 
 (** [parse] plus the recorded marks. *)

@@ -2,8 +2,6 @@ module Label = Ssd.Label
 module Relation = Relstore.Relation
 open Ast
 
-exception Runtime_error of string
-
 let reachable w ~start path =
   let seen = Hashtbl.create 64 in
   let answers = Hashtbl.create 16 in
@@ -28,7 +26,7 @@ let eval_operand w env = function
   | Lit s -> Some s
   | Dattr (d, a) -> (
     match List.assoc_opt d env with
-    | None -> raise (Runtime_error ("unbound document variable " ^ d))
+    | None -> Ssd_diag.error ~code:"SSD410" "unbound document variable %s" d
     | Some doc -> Web.attr w doc a)
 
 let rec eval_cond w env = function
@@ -42,7 +40,7 @@ let rec eval_cond w env = function
     | None -> false)
   | Mentions (d, needle) -> (
     match List.assoc_opt d env with
-    | None -> raise (Runtime_error ("unbound document variable " ^ d))
+    | None -> Ssd_diag.error ~code:"SSD410" "unbound document variable %s" d
     | Some doc -> List.exists (fun s -> contains_substring s needle) (Web.texts w doc))
   | And (a, b) -> eval_cond w env a && eval_cond w env b
   | Or (a, b) -> eval_cond w env a || eval_cond w env b
@@ -62,7 +60,7 @@ let eval ~db q =
           | From_var x -> (
             match List.assoc_opt x env with
             | Some d -> [ d ]
-            | None -> raise (Runtime_error ("unbound document variable " ^ x)))
+            | None -> Ssd_diag.error ~code:"SSD410" "unbound document variable %s" x)
           | From_anywhere -> Web.documents w
         in
         List.concat_map

@@ -7,8 +7,8 @@
     per select item (named [d_attr]; missing attributes are the empty
     string — the web never promised you a title). *)
 
-exception Runtime_error of string
-
+(** A reference to a document variable no [FROM] item binds raises
+    {!Ssd_diag.Fail} with code SSD410. *)
 val eval : db:Ssd.Graph.t -> Ast.query -> Relstore.Relation.t
 val run : db:Ssd.Graph.t -> string -> Relstore.Relation.t
 

@@ -1,83 +1,20 @@
 module Label = Ssd.Label
+module Scan = Ssd.Scan
 open Ast
 
-exception Parse_error of string
-
-type st = {
-  src : string;
-  mutable pos : int;
-}
-
-let fail st msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" st.pos msg))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    st.pos <- st.pos + 1;
-    skip_ws st
-  | _ -> ()
-
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src && String.sub st.src st.pos n = s
-
-let eat st s msg = if looking_at st s then st.pos <- st.pos + String.length s else fail st msg
+(* The parser state is the cursor itself. *)
 
 let lex_ident st =
-  skip_ws st;
-  let start = st.pos in
-  while
-    match peek st with
-    | Some c -> Label.is_ident_char c
-    | None -> false
-  do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then fail st "expected an identifier";
-  String.sub st.src start (st.pos - start)
+  Scan.skip_space st;
+  Scan.ident st
 
-let peek_keyword st =
-  skip_ws st;
-  match peek st with
-  | Some c when Label.is_ident_start c ->
-    let p = st.pos in
-    let w = String.uppercase_ascii (lex_ident st) in
-    st.pos <- p;
-    Some w
-  | _ -> None
-
-let eat_keyword st w =
-  if peek_keyword st = Some w then begin
-    skip_ws st;
-    ignore (lex_ident st);
-    true
-  end
-  else false
+(* Keywords are case-insensitive. *)
+let at_keyword st w = Scan.at_word ~ci:true st w
+let eat_keyword st w = Scan.eat_word ~ci:true st w
 
 let lex_string st =
-  skip_ws st;
-  eat st "\"" "expected a string literal";
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> st.pos <- st.pos + 1
-    | Some '\\' ->
-      st.pos <- st.pos + 1;
-      (match peek st with
-       | Some c -> Buffer.add_char buf c
-       | None -> fail st "unterminated escape");
-      st.pos <- st.pos + 1;
-      loop ()
-    | Some c ->
-      Buffer.add_char buf c;
-      st.pos <- st.pos + 1;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
+  Scan.skip_space st;
+  Scan.string st
 
 (* ------------------------------------------------------------------ *)
 (* Path regular expressions over -> => ~>                              *)
@@ -85,18 +22,18 @@ let lex_string st =
 
 let rec parse_alt st =
   let left = parse_seq st in
-  skip_ws st;
-  if peek st = Some '|' then begin
-    st.pos <- st.pos + 1;
+  Scan.skip_space st;
+  if Scan.peek st = '|' then begin
+    Scan.advance st;
     Alt (left, parse_alt st)
   end
   else left
 
 and parse_seq st =
   let left = parse_postfix st in
-  skip_ws st;
+  Scan.skip_space st;
   (* sequence by juxtaposition; stop before the bound variable *)
-  if looking_at st "->" || looking_at st "=>" || looking_at st "~>" || peek st = Some '(' then
+  if Scan.looking_at st "->" || Scan.looking_at st "=>" || Scan.looking_at st "~>" || Scan.peek st = '(' then
     Seq (left, parse_seq st)
   else left
 
@@ -104,43 +41,33 @@ and parse_postfix st =
   let r = ref (parse_atom st) in
   let continue = ref true in
   while !continue do
-    skip_ws st;
-    match peek st with
-    | Some '*' ->
-      st.pos <- st.pos + 1;
+    Scan.skip_space st;
+    match Scan.peek st with
+    | '*' ->
+      Scan.advance st;
       r := Star !r
-    | Some '+' ->
-      st.pos <- st.pos + 1;
+    | '+' ->
+      Scan.advance st;
       r := Plus !r
-    | Some '?' ->
-      st.pos <- st.pos + 1;
+    | '?' ->
+      Scan.advance st;
       r := Opt !r
     | _ -> continue := false
   done;
   !r
 
 and parse_atom st =
-  skip_ws st;
-  if looking_at st "->" then begin
-    st.pos <- st.pos + 2;
-    Atom Local
-  end
-  else if looking_at st "=>" then begin
-    st.pos <- st.pos + 2;
-    Atom Global
-  end
-  else if looking_at st "~>" then begin
-    st.pos <- st.pos + 2;
-    Atom Any
-  end
-  else if peek st = Some '(' then begin
-    st.pos <- st.pos + 1;
+  Scan.skip_space st;
+  if Scan.eat st "->" then Atom Local
+  else if Scan.eat st "=>" then Atom Global
+  else if Scan.eat st "~>" then Atom Any
+  else if Scan.eat st "(" then begin
     let r = parse_alt st in
-    skip_ws st;
-    eat st ")" "expected ')'";
+    Scan.skip_space st;
+    Scan.expect st ")" "expected ')'";
     r
   end
-  else fail st "expected a link atom (->, =>, ~>) or '('"
+  else Scan.fail st "expected a link atom (->, =>, ~>) or '('"
 
 (* ------------------------------------------------------------------ *)
 (* Query structure                                                     *)
@@ -149,43 +76,45 @@ and parse_atom st =
 let parse_docspec st =
   if eat_keyword st "DOCUMENT" then begin
     let dvar = lex_ident st in
-    if not (eat_keyword st "SUCH") then fail st "expected SUCH THAT";
-    if not (eat_keyword st "THAT") then fail st "expected THAT";
-    skip_ws st;
+    if not (eat_keyword st "SUCH") then Scan.fail st "expected SUCH THAT";
+    if not (eat_keyword st "THAT") then Scan.fail st "expected THAT";
+    Scan.skip_space st;
     let start =
-      match peek st with
-      | Some '"' -> From_url (lex_string st)
-      | Some c when Label.is_ident_start c -> From_var (lex_ident st)
-      | _ -> fail st "expected a start URL or document variable"
+      match Scan.peek st with
+      | '"' -> From_url (lex_string st)
+      | ch when Scan.is_ident_start ch -> From_var (lex_ident st)
+      | _ -> Scan.fail st "expected a start URL or document variable"
     in
     let path =
-      skip_ws st;
-      if looking_at st "->" || looking_at st "=>" || looking_at st "~>" || peek st = Some '('
+      Scan.skip_space st;
+      if Scan.looking_at st "->" || Scan.looking_at st "=>" || Scan.looking_at st "~>" || Scan.peek st = '('
       then parse_alt st
       else Eps
     in
     (* the trailing bound variable restates dvar *)
+    Scan.skip_space st;
+    let at = st.Scan.pos in
     let trailing = lex_ident st in
     if trailing <> dvar then
-      fail st (Printf.sprintf "path must end in the bound variable %s, got %s" dvar trailing);
+      Scan.fail ~at st (Printf.sprintf "path must end in the bound variable %s, got %s" dvar trailing);
     { dvar; start; path }
   end
   else if eat_keyword st "ANYWHERE" then
     let dvar = lex_ident st in
     { dvar; start = From_anywhere; path = Eps }
-  else fail st "expected DOCUMENT or ANYWHERE"
+  else Scan.fail st "expected DOCUMENT or ANYWHERE"
 
 let parse_operand st =
-  skip_ws st;
-  match peek st with
-  | Some '"' -> Lit (lex_string st)
-  | Some c when Label.is_ident_start c ->
+  Scan.skip_space st;
+  match Scan.peek st with
+  | '"' -> Lit (lex_string st)
+  | ch when Scan.is_ident_start ch ->
     let d = lex_ident st in
-    skip_ws st;
-    eat st "." "expected '.' after document variable";
+    Scan.skip_space st;
+    Scan.expect st "." "expected '.' after document variable";
     let a = lex_ident st in
     Dattr (d, a)
-  | _ -> fail st "expected d.attr or a string literal"
+  | _ -> Scan.fail st "expected d.attr or a string literal"
 
 let rec parse_cond st = parse_or st
 
@@ -201,23 +130,23 @@ and parse_not st =
   if eat_keyword st "NOT" then Not (parse_not st) else parse_base st
 
 and parse_base st =
-  skip_ws st;
-  if peek st = Some '(' then begin
-    st.pos <- st.pos + 1;
+  Scan.skip_space st;
+  if Scan.peek st = '(' then begin
+    Scan.advance st;
     let c = parse_cond st in
-    skip_ws st;
-    eat st ")" "expected ')'";
+    Scan.skip_space st;
+    Scan.expect st ")" "expected ')'";
     c
   end
   else begin
     (* MENTIONS has a document variable on the left, not an operand *)
-    let save = st.pos in
-    match peek st with
-    | Some c when Label.is_ident_start c -> (
+    let save = st.Scan.pos in
+    match Scan.peek st with
+    | ch when Scan.is_ident_start ch -> (
       let d = lex_ident st in
       if eat_keyword st "MENTIONS" then Mentions (d, lex_string st)
       else begin
-        st.pos <- save;
+        st.Scan.pos <- save;
         finish_comparison st
       end)
     | _ -> finish_comparison st
@@ -227,40 +156,39 @@ and finish_comparison st =
   let lhs = parse_operand st in
   if eat_keyword st "CONTAINS" then Contains (lhs, lex_string st)
   else begin
-    skip_ws st;
-    eat st "=" "expected '=' or CONTAINS";
+    Scan.skip_space st;
+    Scan.expect st "=" "expected '=' or CONTAINS";
     let rhs = parse_operand st in
     Equals (lhs, rhs)
   end
 
 let parse src =
-  let st = { src; pos = 0 } in
-  if not (eat_keyword st "SELECT") then fail st "query must start with SELECT";
+  let st = Scan.make ~code:"SSD005" src in
+  if not (eat_keyword st "SELECT") then Scan.fail st "query must start with SELECT";
   let item () =
     let d = lex_ident st in
-    skip_ws st;
-    eat st "." "expected '.' in the select list";
+    Scan.skip_space st;
+    Scan.expect st "." "expected '.' in the select list";
     let a = lex_ident st in
     (d, a)
   in
   let select = ref [ item () ] in
-  skip_ws st;
-  while peek st = Some ',' && peek_keyword st <> Some "FROM" do
-    st.pos <- st.pos + 1;
-    (match peek_keyword st with
-     | Some ("DOCUMENT" | "ANYWHERE") -> fail st "expected a select item"
-     | _ -> select := item () :: !select);
-    skip_ws st
+  Scan.skip_space st;
+  while Scan.peek st = ',' do
+    Scan.advance st;
+    if at_keyword st "DOCUMENT" || at_keyword st "ANYWHERE" then Scan.fail st "expected a select item";
+    select := item () :: !select;
+    Scan.skip_space st
   done;
-  if not (eat_keyword st "FROM") then fail st "expected FROM";
+  if not (eat_keyword st "FROM") then Scan.fail st "expected FROM";
   let from = ref [ parse_docspec st ] in
-  skip_ws st;
-  while peek st = Some ',' do
-    st.pos <- st.pos + 1;
+  Scan.skip_space st;
+  while Scan.peek st = ',' do
+    Scan.advance st;
     from := parse_docspec st :: !from;
-    skip_ws st
+    Scan.skip_space st
   done;
   let where = if eat_keyword st "WHERE" then Some (parse_cond st) else None in
-  skip_ws st;
-  if peek st <> None then fail st "trailing input after query";
+  Scan.skip_space st;
+  if not (Scan.eof st) then Scan.fail st "trailing input after query";
   { select = List.rev !select; from = List.rev !from; where }

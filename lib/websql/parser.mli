@@ -12,6 +12,6 @@
     hosts), [~>] either; combined with [|], [*], [+], [?] and grouping.
     [ANYWHERE d] ranges [d] over all documents (the crawler's view). *)
 
-exception Parse_error of string
-
+(** A syntax error raises {!Ssd_diag.Fail} with code SSD005 and the span
+    of the failing offset. *)
 val parse : string -> Ast.query

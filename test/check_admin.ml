@@ -126,7 +126,7 @@ let get_json path target =
   expect (target ^ " returns 200") (status_of headers = 200);
   match Ssd.Json.parse body with
   | v -> v
-  | exception Ssd.Json.Parse_error e -> fail "%s body does not parse: %s" target e
+  | exception Ssd_diag.Fail d -> fail "%s body does not parse: %s" target (Ssd_diag.to_string d)
 
 let assoc_path doc keys =
   List.fold_left
@@ -284,7 +284,7 @@ let () =
             -> Some kvs
           | Ssd.Json.Obj _ -> None
           | _ -> fail "event line is not a JSON object: %s" l
-          | exception Ssd.Json.Parse_error e -> fail "bad event line %S: %s" l e)
+          | exception Ssd_diag.Fail d -> fail "bad event line %S: %s" l (Ssd_diag.to_string d))
         event_lines
     in
     expect "a slow_query event was logged" (slow <> []);
@@ -312,7 +312,7 @@ let () =
           && List.mem_assoc "histograms" kvs);
         expect "STATS has the engine section" (List.mem_assoc "engine" kvs)
       | _ -> fail "STATS body is not a JSON object"
-      | exception Ssd.Json.Parse_error e -> fail "STATS body does not parse: %s" e)
+      | exception Ssd_diag.Fail d -> fail "STATS body does not parse: %s" (Ssd_diag.to_string d))
     | _ -> fail "STATS frame count");
 
     (* 404 and method handling *)

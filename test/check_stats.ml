@@ -21,7 +21,7 @@ let () =
   let json =
     match J.parse src with
     | j -> j
-    | exception J.Parse_error msg -> fail "metrics json does not parse: %s" msg
+    | exception Ssd_diag.Fail d -> fail "metrics json does not parse: %s" (Ssd_diag.to_string d)
   in
   let rec check_nonneg ctx = function
     | J.Int n -> if n < 0 then fail "negative counter %s = %d" ctx n

@@ -7,15 +7,39 @@ module Q = QCheck2.Gen
 
 let small_symbol = Q.oneofl [ "a"; "b"; "c"; "movie"; "title"; "x" ]
 
+(* Finite floats that stress exact printing: more than 12 significant
+   digits, exponents, -0.0, a denormal and the extremes. *)
+let floats =
+  Q.oneof
+    [
+      Q.oneofl
+        [ 0.0; 1.5; -2.25; 1e6; 0.1; 1. /. 3.; 0.1234567890123; -0.0; 1e16; 1e-7;
+          123456789.123456; 5e-324; max_float; -.min_float ];
+      Q.map (fun (m, e) -> ldexp m e) (Q.pair (Q.float_range (-1.) 1.) (Q.int_range (-60) 60));
+    ]
+
 let label : Label.t Q.t =
   Q.oneof
     [
       Q.map Label.int (Q.int_range (-50) 50);
-      Q.map Label.float (Q.oneofl [ 0.0; 1.5; -2.25; 1e6 ]);
+      Q.map Label.float floats;
       Q.map Label.str (Q.oneofl [ ""; "hi"; "Casablanca"; "a b"; "quo\"te"; "\\slash"; "tab\there" ]);
       Q.map Label.bool Q.bool;
       Q.map Label.sym small_symbol;
     ]
+
+(* The outcome of a front-end call, for golden diagnostics: "ok", or
+   "SSDxxx@line:col" for an [Ssd_diag.Fail] (the span's start; "-" when
+   it has none), or the name of any other exception. *)
+let outcome f =
+  match f () with
+  | _ -> "ok"
+  | exception Ssd_diag.Fail d ->
+    d.Ssd_diag.code
+    ^ (match d.Ssd_diag.span with
+      | Some s -> Printf.sprintf "@%d:%d" s.Ssd_diag.line s.Ssd_diag.col
+      | None -> "@-")
+  | exception e -> Printexc.to_string e
 
 (* Trees: size-bounded, branching limited so canonical forms stay small. *)
 let tree : Tree.t Q.t =

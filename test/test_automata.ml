@@ -60,12 +60,17 @@ let regex_matching () =
 
 let regex_parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Regex.parse src with
-         | exception Regex.Parse_error _ -> true
-         | _ -> false))
-    [ ""; "("; "a |"; "a.."; "*"; "startswith(act)" ]
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Regex.parse src)))
+    [
+      ("", "SSD006@1:1");
+      ("(", "SSD006@1:2");
+      ("a |", "SSD006@1:4");
+      ("a..", "SSD006@1:3");
+      ("*", "SSD006@1:1");
+      ("startswith(act)", "SSD006@1:12");
+    ]
 
 let alphabet_syms = List.map Label.sym [ "a"; "b"; "c"; "movie"; "title"; "x" ]
 
@@ -128,7 +133,7 @@ let automata_properties =
     qtest "pp/parse preserves the language" ~count:200 ~print:(fun (r, _) -> Ssd_automata.Regex.to_string r) (Q.pair regex word) (fun (r, w) ->
         match Regex.parse (Regex.to_string r) with
         | r' -> Regex.matches r' w = Regex.matches r w
-        | exception Regex.Parse_error _ -> false);
+        | exception Ssd_diag.Fail _ -> false);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -26,21 +26,33 @@ let parse_and_print () =
   let printed = Format.asprintf "%a" Datalog.pp_program p in
   check "pp/parse stable" true (Datalog.parse printed = p)
 
+(* A syntax error's span starts at the failing offset. *)
+let parse_errors () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Datalog.parse src)))
+    [
+      ("p(?X) :- edge(?X ?L, ?Y).", "SSD003@1:18");
+      ("p(?X :-", "SSD003@1:6");
+      ("p(?X) :- q(?X)", "SSD003@1:15");
+      ("% a comment\np(X) :- !", "SSD003@2:9");
+      ("p(?) :- q(1.5.).", "SSD003@1:4");
+    ]
+
 let safety () =
-  let unsafe src =
-    match Datalog.eval ~edb:no_facts (Datalog.parse src) with
-    | exception Datalog.Unsafe _ -> true
-    | _ -> false
+  let rejects name code src =
+    Alcotest.(check string) name (code ^ "@-")
+      (Gen.outcome (fun () -> Datalog.eval ~edb:no_facts (Datalog.parse src)))
   in
-  check "head var unbound" true (unsafe "p(?X) :- q(?Y).");
-  check "negated var unbound" true (unsafe "p(?X) :- q(?X), not r(?Z).");
-  check "compared var unbound" true (unsafe "p(?X) :- q(?X), ?Z > 1.")
+  rejects "head var unbound" "SSD201" "p(?X) :- q(?Y).";
+  rejects "negated var unbound" "SSD202" "p(?X) :- q(?X), not r(?Z).";
+  rejects "compared var unbound" "SSD203" "p(?X) :- q(?X), ?Z > 1."
 
 let stratification () =
-  check "negation through recursion rejected" true
-    (match Datalog.eval ~edb:no_facts (Datalog.parse "p(?X) :- q(?X), not p(?X).") with
-     | exception Datalog.Not_stratified _ -> true
-     | _ -> false);
+  Alcotest.(check string) "negation through recursion rejected" "SSD210@-"
+    (Gen.outcome (fun () ->
+         Datalog.eval ~edb:no_facts (Datalog.parse "p(?X) :- q(?X), not p(?X).")));
   let p =
     Datalog.parse
       {| reach(?X) :- start(?X).
@@ -277,6 +289,7 @@ let properties =
 let tests =
   [
     Alcotest.test_case "parse and print" `Quick parse_and_print;
+    Alcotest.test_case "parse errors" `Quick parse_errors;
     Alcotest.test_case "safety" `Quick safety;
     Alcotest.test_case "stratification" `Quick stratification;
     Alcotest.test_case "transitive closure" `Quick transitive_closure;

@@ -33,7 +33,7 @@ let duplicate_rows_collapse () =
   check_int "set semantics" 1 (List.length back.Encode.rows)
 
 let ill_formed () =
-  let raises f = match f () with exception Encode.Ill_formed _ -> true | _ -> false in
+  let raises f = Gen.outcome f = "SSD522@-" in
   check "arity mismatch" true
     (raises (fun () ->
          Encode.tree_of_relation
@@ -87,7 +87,7 @@ let oo_cycles () =
   check "reference cycle preserved" false (Graph.is_acyclic g)
 
 let oo_errors () =
-  let raises f = match f () with exception Encode.Ill_formed _ -> true | _ -> false in
+  let raises f = Gen.outcome f = "SSD522@-" in
   check "dangling ref" true
     (raises (fun () ->
          Encode.graph_of_objects ~roots:[ 1 ]

@@ -316,8 +316,8 @@ let datalog_rejects_negation () =
        dead(?X) :- edge(?X, ?L, ?Y), not reach(?X)."
   in
   Alcotest.(check bool) "supported is false" false (Datalog.Incremental.supported p);
-  Alcotest.check_raises "prepare raises Unsafe (SSD213)"
-    (Datalog.Unsafe
+  Alcotest.check_raises "prepare fails with SSD213"
+    (Ssd_diag.Fail
        (Ssd_diag.make Ssd_diag.Error ~code:"SSD213"
           "incremental maintenance requires a negation-free program"))
     (fun () ->

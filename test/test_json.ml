@@ -18,12 +18,18 @@ let parse_basics () =
 
 let parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Json.parse src with
-         | exception Json.Parse_error _ -> true
-         | _ -> false))
-    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "nul"; "\"open"; "1 2" ]
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Json.parse src)))
+    [
+      ("", "SSD004@1:1");
+      ("{", "SSD004@1:2");
+      ("[1,]", "SSD004@1:4");
+      ("{\"a\" 1}", "SSD004@1:6");
+      ("nul", "SSD004@1:1");
+      ("\"open", "SSD004@1:1");
+      ("1 2", "SSD004@1:3");
+    ]
 
 let arrays_become_integer_edges () =
   (* "arrays may be represented by labeling internal edges with integers" *)

@@ -40,12 +40,49 @@ let parsing () =
 
 let parse_failures () =
   List.iter
+    (fun (s, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %S" s) expected
+        (Gen.outcome (fun () -> Label.of_string s)))
+    [
+      ("", "SSD004@1:1");
+      ("\"unterminated", "SSD004@1:1");
+      ("9abc", "SSD004@1:2");
+      ("has space", "SSD004@1:4");
+    ]
+
+(* Exact text: printing a label and reading it back gives the label,
+   for floats at the edges of the printer (non-finite, negative zero,
+   more than 12 significant digits, denormals) and for strings holding
+   every byte, the escaped ones included. *)
+let exact_text () =
+  let floats =
+    [ nan; infinity; neg_infinity; -0.0; 0.0; 0.1; 1. /. 3.; 0.1234567890123;
+      0.12345678901234; 1e16; 1e-7; 5e-324; max_float; min_float; -123456789.123456 ]
+  in
+  List.iter
+    (fun f ->
+      let l = Label.float f in
+      let back = Label.of_string (Label.to_string l) in
+      check (Printf.sprintf "float %h" f) true
+        (Label.equal back l
+        && (f = 0.0 || Float.is_nan f
+           || Int64.equal (Int64.bits_of_float f)
+                (match back with Label.Float g -> Int64.bits_of_float g | _ -> 0L))))
+    floats;
+  let every_byte = String.init 256 Char.chr in
+  List.iter
     (fun s ->
-      check (Printf.sprintf "reject %S" s) true
-        (match Label.of_string s with
-         | exception Failure _ -> true
-         | _ -> false))
-    [ ""; "\"unterminated"; "9abc"; "has space" ]
+      check (Printf.sprintf "string %S" s) true
+        (Label.equal (Label.of_string (Label.to_string (Label.str s))) (Label.str s)))
+    [ every_byte; "\n"; "\t"; "\r"; "\""; "\\"; "a\rb" ];
+  (* twelve digits print as before: the movies budgets, 0.1, a 12-digit
+     value; longer ones keep their digits *)
+  List.iter
+    (fun (f, text) -> Alcotest.(check string) text text (Label.to_string (Label.float f)))
+    [ (1e5, "100000.0"); (1.2e6, "1200000.0"); (0.1, "0.1"); (-2.25, "-2.25");
+      (0.123456789012, "0.123456789012"); (0.1234567890123, "0.1234567890123");
+      (1. /. 3., "0.3333333333333333"); (1e16, "1e+16"); (-0.0, "0.0"); (nan, "nan");
+      (neg_infinity, "-inf") ]
 
 let properties =
   [
@@ -71,5 +108,6 @@ let tests =
     Alcotest.test_case "string vs symbol" `Quick string_and_symbol_distinct;
     Alcotest.test_case "literal parsing" `Quick parsing;
     Alcotest.test_case "parse failures" `Quick parse_failures;
+    Alcotest.test_case "exact text round trip" `Quick exact_text;
   ]
   @ properties

@@ -40,7 +40,18 @@ let expect code r =
 let test_syntax () =
   expect "SSD001" (unql "select where");
   expect "SSD002" (lorel "select");
-  expect "SSD003" (datalog "p(?X :-")
+  expect "SSD003" (datalog "p(?X :-");
+  (* the span starts at the failing offset, in every language *)
+  List.iter
+    (fun (lang, src, expected) ->
+      Alcotest.(check string) src expected
+        (Gen.outcome (fun () -> Ssd_lint.Lang.compile lang src)))
+    [
+      (L.Unql, "select {a} where\n  {b: \\T} <- ", "SSD001@2:14");
+      (L.Lorel, "select X from DB.a X where X =", "SSD002@1:31");
+      (L.Datalog, "p(?X) :- edge(?X ?L, ?Y).", "SSD003@1:18");
+      (L.Websql, "SELECT d.url FROM ANYWHERE", "SSD005@1:27");
+    ]
 
 let test_paths () =
   expect "SSD101" (unql ~db:figure1 {|select {r: \t} where {zzz: \t} <- DB|});
@@ -171,7 +182,7 @@ let test_runtime_codes () =
     (code_of (fun () ->
          Unql.Views.(define ~name:"v" "DB" (define ~name:"v" "DB" empty))));
   let runtime_code f = try ignore (f ()); "none" with
-    | Unql.Eval.Runtime_error d -> d.Diag.code
+    | Diag.Fail d -> d.Diag.code
   in
   Alcotest.(check string) "SSD303 at runtime" "SSD303"
     (runtime_code (fun () -> Unql.Eval.eval ~db:figure1 (A.Var "u")))
@@ -241,7 +252,7 @@ let props =
         ||
         match Unql.Eval.eval ~db:figure1 q with
         | _ -> true
-        | exception (Unql.Eval.Runtime_error _ | A.Ill_formed _) -> false);
+        | exception Diag.Fail _ -> false);
     Gen.qtest "lint-clean queries do not raise (random graphs)" ~count:150
       ~print:print_pair
       (Q.pair Gen.graph Gen.unql_query)
@@ -251,7 +262,7 @@ let props =
         ||
         match Unql.Eval.eval ~db:g q with
         | _ -> true
-        | exception (Unql.Eval.Runtime_error _ | A.Ill_formed _) -> false);
+        | exception Diag.Fail _ -> false);
     Gen.qtest "prune preserves semantics" ~count:100 ~print:print_pair
       (Q.pair Gen.graph Gen.unql_query)
       (fun (g, q) ->

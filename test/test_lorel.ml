@@ -83,34 +83,28 @@ let object_identity_preserved () =
 
 let parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Lorel.Parser.parse src with
-         | exception Lorel.Parser.Parse_error _ -> true
-         | _ -> false))
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Lorel.Parser.parse src)))
     [
-      "";
-      "from DB.x X";
-      "select";
-      "select X.y from DB.a select";
-      "select X.y from DB.a and";
-      "select X.title from DB.entry.movie X where";
+      ("", "SSD002@1:1");
+      ("from DB.x X", "SSD002@1:1");
+      ("select", "SSD002@1:7");
+      ("select X.y from DB.a select", "SSD002@1:22");
+      ("select X.y from DB.a and", "SSD002@1:22");
+      ("select X.title from DB.entry.movie X where", "SSD002@1:43");
     ]
 
 let unbound_variable () =
-  check "unbound range var" true
-    (match run "select Y.title from DB.entry.movie X" with
-     | exception Lorel.Eval.Runtime_error _ -> true
-     | _ -> false)
+  Alcotest.(check string) "unbound range var" "SSD401@-"
+    (Gen.outcome (fun () -> run "select Y.title from DB.entry.movie X"))
 
 let unbound_start_still_raises () =
   (* Filtering X early would leave no rows, and the range over the
      unbound Z would never run. *)
   let db = Ssd.Syntax.parse_graph "{a: {c: {2}}, a: {d: {1}}}" in
-  check "SSD401 despite an empty where" true
-    (match run ~db "select Y from DB.a X, Z.b Y where X.c = 1" with
-     | exception Lorel.Eval.Runtime_error d -> d.Ssd_diag.code = "SSD401"
-     | _ -> false)
+  Alcotest.(check string) "SSD401 despite an empty where" "SSD401@-"
+    (Gen.outcome (fun () -> run ~db "select Y from DB.a X, Z.b Y where X.c = 1"))
 
 (* The evaluation [where] placement must agree with: enumerate every
    range, filter with the whole condition, copy the database under a
@@ -256,7 +250,7 @@ let query_to_string (q : Lorel.Ast.query) =
     (String.concat ", " (List.map (fun (p, x) -> path p ^ " " ^ x) q.from))
     (match q.where with None -> "" | Some c -> " where " ^ cond c)
 
-let outcome f = match f () with g -> Ok g | exception Lorel.Eval.Runtime_error d -> Error (Ssd_diag.to_string d)
+let outcome f = match f () with g -> Ok g | exception Ssd_diag.Fail d -> Error (Ssd_diag.to_string d)
 
 let properties =
   [

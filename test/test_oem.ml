@@ -59,24 +59,20 @@ let cyclic_oem () =
 
 let parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Oem.parse src with
-         | exception Oem.Parse_error _ -> true
-         | _ -> false))
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Oem.parse src)))
     [
-      "";
-      "<a, set, {";
-      "<a, int, \"oops\">";
+      ("", "SSD004@1:1");
+      ("<a, set, {", "SSD004@1:11");
       (* declared/actual type mismatch *)
-      "<a, zoo, 1>";
-      "<a, set, {}> trailing";
-    ];
-  (* dangling reference caught at graph building *)
-  check "dangling ref" true
-    (match Oem.to_graph (Oem.parse "<a, set, { &ghost }>") with
-     | exception Oem.Parse_error _ -> true
-     | _ -> false)
+      ("<a, int, \"oops\">", "SSD004@1:10");
+      ("<a, zoo, 1>", "SSD004@1:5");
+      ("<a, set, {}> trailing", "SSD004@1:14");
+      (* dangling reference, at the reference *)
+      ("<a, set, { &ghost }>", "SSD004@1:12");
+      ("<a, set, { &x <b, int, 1>, &x <c, int, 2> }>", "SSD004@1:28");
+    ]
 
 let figure1_roundtrip () =
   let g = Ssd_workload.Movies.figure1 () in

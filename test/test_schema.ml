@@ -58,12 +58,16 @@ let schema_printing () =
 
 let schema_parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Gschema.parse src with
-         | exception Gschema.Parse_error _ -> true
-         | _ -> false))
-    [ ""; "{a: }"; "*undefined"; "{a: b*}" ]
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Gschema.parse src)))
+    [
+      ("", "SSD006@1:1");
+      ("{a: }", "SSD006@1:5");
+      ("*undefined", "SSD006@1:1");
+      ("{a: b*}", "SSD006@1:5");
+      ("{a: {b: (c}}", "SSD006@1:11");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* DataGuides                                                          *)

@@ -242,9 +242,9 @@ let malformed_and_unsupported () =
 
 (* The same table on a push-capable engine, where SUBSCRIBE gets past
    the transport check: syntax errors keep their SSD00x code in every
-   language, a lint error wins over "unsupported subscription language",
-   and WebSQL — which has no static front end — fails a QUERY at run
-   time (SSD553) but a SUBSCRIBE on the language alone (SSD555). *)
+   language (WebSQL's is SSD005, from the one compile step), and a
+   syntax or lint error wins over "unsupported subscription language"
+   (SSD555), which a well-formed Lorel or WebSQL subscription gets. *)
 let error_code_table () =
   let engine = Engine.create (Engine.store ~db:(fig1 ()) ()) in
   let code raw =
@@ -254,11 +254,12 @@ let error_code_table () =
     (fun (frame, expected) -> Alcotest.(check string) frame expected (code frame))
     [
       ("QUERY lang=datalog p(?X :-", "SSD003");
-      ("QUERY lang=websql select", "SSD553");
+      ("QUERY lang=websql select", "SSD005");
       ("SUBSCRIBE - select", "SSD001");
       ("SUBSCRIBE lang=lorel select", "SSD002");
       ("SUBSCRIBE lang=lorel select X from DB.entry X", "SSD555");
-      ("SUBSCRIBE lang=websql select", "SSD555");
+      ("SUBSCRIBE lang=websql select", "SSD005");
+      ("SUBSCRIBE lang=websql SELECT d.url FROM ANYWHERE d", "SSD555");
       ("SUBSCRIBE lang=sparql x", "SSD555");
       ("SUBSCRIBE lang=datalog p(?X :-", "SSD003");
     ]
@@ -575,6 +576,20 @@ let datalog_subscription () =
   check "negation rejected with SSD213" true
     (bad.Proto.status = Proto.Error && String.equal bad.Proto.detail "SSD213")
 
+(* Two float literals that agree to 12 significant digits are two
+   queries: the result cache, keyed on the printed query, must not answer
+   one with the other's entry. *)
+let float_literals_keep_cache_keys_apart () =
+  let engine = Engine.create (Engine.store ~db:(Ssd.Syntax.parse_graph "{r: 0.1234567890123}") ()) in
+  let body raw = (parse_one (Engine.handle_line engine raw)).Proto.body in
+  let q lit = {|select {hit: 1} where {r.\X} <- DB, X = |} ^ lit in
+  Alcotest.(check string) "other literal, cache off" "{}\n"
+    (body ("QUERY cache=off " ^ q "0.12345678901234"));
+  Alcotest.(check string) "matching literal fills the cache" "{hit: {1}}\n"
+    (body ("QUERY - " ^ q "0.1234567890123"));
+  Alcotest.(check string) "other literal, cache on" "{}\n"
+    (body ("QUERY - " ^ q "0.12345678901234"))
+
 let tests =
   props
   @ [
@@ -597,4 +612,6 @@ let tests =
         datalog_base_per_version;
       Alcotest.test_case "transport backlog drives shedding" `Quick queued_backlog_sheds;
       Alcotest.test_case "STATS and QUIT" `Quick quit_and_stats;
+      Alcotest.test_case "float literals keep cache keys apart" `Quick
+        float_literals_keep_cache_keys_apart;
     ]

@@ -129,7 +129,16 @@ let edge_case_roundtrips () =
       let w = Graph.Builder.add_node b in
       Graph.Builder.add_edge b v (Ssd.Label.str s) w)
     nasty;
-  roundtrips "NUL/newline/UTF-8 labels" (Graph.Builder.finish b)
+  roundtrips "NUL/newline/UTF-8 labels" (Graph.Builder.finish b);
+  (* -0.0 equals 0.0 as a label, so both encode to the same bytes *)
+  let one_float f =
+    let b = Graph.Builder.create () in
+    let r = Graph.Builder.add_node b in
+    Graph.Builder.set_root b r;
+    Graph.Builder.add_edge b r (Ssd.Label.float f) (Graph.Builder.add_node b);
+    snd (encode (Graph.Builder.finish b))
+  in
+  check "-0.0 encodes as 0.0" true (Bytes.equal (one_float (-0.0)) (one_float 0.0))
 
 let string_table_shares () =
   (* many occurrences of one symbol must be cheaper than distinct ones *)

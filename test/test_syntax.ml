@@ -42,20 +42,21 @@ let forward_reference () =
     (Tree.equal (Graph.to_tree g) (Syntax.parse_tree "{first: {v}, second: {v}}"))
 
 let errors () =
-  let rejects src =
-    check (Printf.sprintf "reject %s" src) true
-      (match Syntax.parse_graph src with
-       | exception Syntax.Parse_error _ -> true
-       | _ -> false)
-  in
-  rejects "{a: }";
-  rejects "{a";
-  rejects "{a: {b}} trailing";
-  rejects "*undefined";
-  rejects "&x {a: &x {}}";
-  (* double binding *)
-  rejects "{\"unterminated}";
-  rejects "{:}"
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Syntax.parse_graph src)))
+    [
+      ("{a: }", "SSD004@1:5");
+      ("{a", "SSD004@1:3");
+      ("{a: {b}} trailing", "SSD004@1:10");
+      ("*undefined", "SSD004@1:1");
+      (* double binding *)
+      ("&x {a: &x {}}", "SSD004@1:8");
+      ("{\"unterminated}", "SSD004@1:2");
+      ("{:}", "SSD004@1:2");
+      ("{a: 1,\n b: }", "SSD004@2:5");
+    ]
 
 let cyclic_needs_graph () =
   check "parse_tree raises on cycles" true

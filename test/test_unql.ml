@@ -182,16 +182,14 @@ let short_circuit () =
        g)
 
 let sfun_ill_formed () =
-  let rejects src =
-    check (Printf.sprintf "reject %s" src) true
-      (match run src with
-       | exception Unql.Ast.Ill_formed _ -> true
-       | _ -> false)
+  let rejects code src =
+    Alcotest.(check string) (Printf.sprintf "reject %s" src) (code ^ "@-")
+      (Gen.outcome (fun () -> run src))
   in
   (* recursive call on something other than the case variable *)
-  rejects "let sfun f({\\L: T}) = {L: f({})} in f(DB)";
+  rejects "SSD306" "let sfun f({\\L: T}) = {L: f({})} in f(DB)";
   (* free variable in the body *)
-  rejects "let x = {v} in let sfun f({\\L: T}) = {L: x} in f(DB)"
+  rejects "SSD307" "let x = {v} in let sfun f({\\L: T}) = {L: x} in f(DB)"
 
 let sfun_agrees_with_direct =
   [
@@ -287,41 +285,37 @@ let pretty_roundtrip () =
 
 let parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Unql.Parser.parse src with
-         | exception Unql.Parser.Parse_error _ -> true
-         | _ -> false))
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Unql.Parser.parse src)))
     [
-      "";
-      "select {x}";
+      ("", "SSD001@1:1");
       (* missing where *)
-      "select {x} where";
-      "let x = {} in";
-      "{a: }";
-      "let sfun f({a: T}) = {} | g({b: T}) = {} in f(DB)";
+      ("select {x}", "SSD001@1:11");
+      ("select {x} where", "SSD001@1:17");
+      ("let x = {} in", "SSD001@1:14");
+      ("{a: }", "SSD001@1:5");
       (* mixed names *)
-      "if {} then {a} else {b}";
+      ("let sfun f({a: T}) = {} | g({b: T}) = {} in f(DB)", "SSD001@1:27");
       (* cond expected *)
+      ("if {} then {a} else {b}", "SSD001@1:4");
+      (* a regex error points into the whole query, under the query's code *)
+      ("select {t: \\T} where\n  {<a.(b|>: \\T} <- DB", "SSD001@2:11");
     ]
 
 let runtime_errors () =
-  let rejects src =
-    check (Printf.sprintf "runtime reject %s" src) true
-      (match run src with
-       | exception Unql.Eval.Runtime_error _ -> true
-       | _ -> false)
+  let rejects code src =
+    Alcotest.(check string) (Printf.sprintf "runtime reject %s" src) (code ^ "@-")
+      (Gen.outcome (fun () -> run src))
   in
-  rejects "undefined_variable";
-  rejects "undefined_fun({})";
+  rejects "SSD303" "undefined_variable";
+  rejects "SSD305" "undefined_fun({})";
   (* head variable never bound by any generator *)
-  rejects {| select t where {entry: _} <- DB |}
+  rejects "SSD303" {| select t where {entry: _} <- DB |}
 
 let tree_var_in_label_position () =
-  check "tree variable in label position rejected" true
-    (match run {| select {t: {x}} where {entry: \t} <- DB |} with
-     | exception Unql.Eval.Runtime_error _ -> true
-     | _ -> false)
+  Alcotest.(check string) "tree variable in label position rejected" "SSD304@-"
+    (Gen.outcome (fun () -> run {| select {t: {x}} where {entry: \t} <- DB |}))
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)

@@ -18,6 +18,13 @@ let insert_grafts () =
     {| {movie: {title: "Casablanca", year: 1942, seen: true},
         movie: {title: "Annie Hall", seen: true}} |}
 
+let insert_value_comments () =
+  (* the inserted value is ssd data text, so '#' starts a comment in it *)
+  let g = Update.run ~db:(db ()) "insert DB.movie := {seen: # note\n true};\ndelete DB.movie.year" in
+  expect g
+    {| {movie: {title: "Casablanca", seen: true},
+        movie: {title: "Annie Hall", seen: true}} |}
+
 let insert_shares_object_identity () =
   (* one grafted subobject shared by all targets: graph stays small *)
   let g = Update.run ~db:(db ()) {| insert DB.movie := {tag: {a, b, c}} |} in
@@ -69,17 +76,17 @@ let functional_updates () =
 
 let parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Update.parse src with
-         | exception Update.Parse_error _ -> true
-         | _ -> false))
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Update.parse src)))
     [
-      "frobnicate DB.x";
-      "insert DB.movie";
-      "delete DB";
-      "rename DB.movie.title";
-      "delete DB.movie.#";
+      ("frobnicate DB.x", "SSD002@1:1");
+      ("insert DB.movie", "SSD002@1:16");
+      ("delete DB", "SSD002@1:8");
+      ("rename DB.movie.title", "SSD002@1:22");
+      ("delete DB.movie.#", "SSD002@1:8");
+      (* an error in the inserted value points into the whole update *)
+      ("delete DB.a; insert DB.movie := {x: }", "SSD002@1:37");
     ]
 
 let properties =
@@ -103,6 +110,7 @@ let properties =
 let tests =
   [
     Alcotest.test_case "insert grafts" `Quick insert_grafts;
+    Alcotest.test_case "insert value takes # comments" `Quick insert_value_comments;
     Alcotest.test_case "insert shares object identity" `Quick insert_shares_object_identity;
     Alcotest.test_case "insert at empty path is a no-op" `Quick insert_at_empty_path_is_noop;
     Alcotest.test_case "delete label" `Quick delete_label;

@@ -59,10 +59,8 @@ let shadowing_and_errors () =
     (match Views.materialize Views.empty ~db:fig1 "ghost" with
      | exception Not_found -> true
      | _ -> false);
-  check "bad source rejected at define" true
-    (match Views.(empty |> define ~name:"v" "select {x} where") with
-     | exception Unql.Parser.Parse_error _ -> true
-     | _ -> false)
+  Alcotest.(check string) "bad source rejected at define" "SSD001@1:17"
+    (Gen.outcome (fun () -> Views.(empty |> define ~name:"v" "select {x} where")))
 
 let views_do_not_leak_into_db () =
   (* DB inside a view still refers to the original database *)

@@ -124,18 +124,16 @@ let against_generator () =
 
 let parse_errors () =
   List.iter
-    (fun src ->
-      check (Printf.sprintf "reject %s" src) true
-        (match Websql.Parser.parse src with
-         | exception Websql.Parser.Parse_error _ -> true
-         | _ -> false))
+    (fun (src, expected) ->
+      Alcotest.(check string) (Printf.sprintf "reject %s" src) expected
+        (Gen.outcome (fun () -> Websql.Parser.parse src)))
     [
-      "";
-      "SELECT d.url";
-      "SELECT d.url FROM DOCUMENT d";
-      {| SELECT d.url FROM DOCUMENT d SUCH THAT "u" -> e |};
+      ("", "SSD005@1:1");
+      ("SELECT d.url", "SSD005@1:13");
+      ("SELECT d.url FROM DOCUMENT d", "SSD005@1:29");
       (* wrong trailing var *)
-      {| SELECT d.url FROM DOCUMENT d SUCH THAT "u" -> d WHERE |};
+      ({| SELECT d.url FROM DOCUMENT d SUCH THAT "u" -> e |}, "SSD005@1:48");
+      ({| SELECT d.url FROM DOCUMENT d SUCH THAT "u" -> d WHERE |}, "SSD005@1:56");
     ]
 
 let missing_url_is_empty () =
