@@ -7,8 +7,6 @@ type t = {
   out : (edge_label * int) array array;
 }
 
-exception Cyclic
-
 module Builder = struct
   type t = {
     mutable n : int;
@@ -241,7 +239,8 @@ let map_labels f g =
   }
 
 let to_tree g =
-  if not (is_acyclic g) then raise Cyclic;
+  if not (is_acyclic g) then
+    Ssd_diag.error ~code:"SSD007" "the graph is cyclic, so it denotes no finite tree";
   let memo = Hashtbl.create 64 in
   let rec go u =
     match Hashtbl.find_opt memo u with

@@ -16,10 +16,6 @@ type edge_label =
 
 type t
 
-exception Cyclic
-(** Raised by {!to_tree} when the graph reachable from the root has a
-    cycle (its unfolding is infinite). *)
-
 (** {1 Construction} *)
 
 module Builder : sig
@@ -128,7 +124,8 @@ val map_labels : (Label.t -> Label.t) -> t -> t
 (** [to_tree g] computes the tree denoted by [g].  Linear in the size of
     the underlying DAG (memoized), but the resulting tree can be
     exponentially larger once shared nodes are unfolded.
-    @raise Cyclic if the reachable part of [g] is cyclic. *)
+    @raise Ssd_diag.Fail (code SSD007) if the reachable part of [g] is
+    cyclic: its unfolding is infinite. *)
 val to_tree : t -> Tree.t
 
 (** [unfold ~depth g] is the tree denoting [g] cut at [depth] labeled

@@ -36,5 +36,6 @@ val read_graph : Scan.t -> Graph.t
 
 (** Parse a finite tree.
     @raise Ssd_diag.Fail on syntax errors.
-    @raise Graph.Cyclic if the input uses [&]/[*] to form a cycle. *)
+    @raise Ssd_diag.Fail (code SSD007) if the input uses [&]/[*] to form a
+    cycle. *)
 val parse_tree : string -> Tree.t

@@ -143,6 +143,7 @@ let codes =
     ("SSD004", Error, "syntax error in data text (ssd syntax, OEM, JSON or a label literal)");
     ("SSD005", Error, "syntax error in a WebSQL query");
     ("SSD006", Error, "syntax error in a regular path expression or a graph schema");
+    ("SSD007", Error, "a cyclic graph denotes no finite tree (tree or JSON output)");
     ("SSD101", Warning, "dead path: no database path from the root can match");
     ("SSD102", Warning, "partially dead path: matching becomes impossible at a later step");
     ("SSD103", Warning, "void path expression: the regex matches no label word at all");

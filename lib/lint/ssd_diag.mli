@@ -9,7 +9,8 @@
     raise, so every failure mode has a grep-able code.
 
     Codes are grouped by hundreds:
-    - [SSD00x] — syntax errors (one code per language or data format)
+    - [SSD00x] — syntax errors (one code per language or data format),
+      and SSD007: a cyclic graph where a finite tree is needed
     - [SSD1xx] — path satisfiability (dead / partially dead paths)
     - [SSD2xx] — datalog safety and stratification
     - [SSD3xx] — UnQL / UnCAL hygiene (binders, markers, recursion)

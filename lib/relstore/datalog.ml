@@ -284,104 +284,200 @@ let n_strata program =
   1 + Hashtbl.fold (fun _ s acc -> max acc s) strata 0
 
 (* ------------------------------------------------------------------ *)
+(* Relations                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One relation type holds every predicate the evaluator reads or
+   writes: the EDB, derived facts, per-round deltas, private copies of
+   EDB-headed predicates and the tuples an incremental state inserts.
+   Rows are numbered in first-insertion order and never removed; a scan
+   lists them in that order, and so does a probe, which lists the rows
+   holding one value at one position.
+
+   Row [i] is the cells [start.(i)] to [start.(i + 1) - 1] of [data], so
+   rows of one predicate may differ in arity.  For the cell of row [i] at
+   position [j], [next] holds the next row with the same value at
+   position [j]; the last such row points back to the first, so each
+   value's rows form a ring.  The indexes are open-addressing tables of
+   row ids (-1: a free slot): [rows] finds a row by its whole tuple, and
+   [probe.(j)] finds the last row of a position-[j] value's ring.  Reads
+   write nothing, so concurrent evaluations and the chunks of a parallel
+   firing share a relation without locks while nothing inserts into
+   it.
+
+   Stdlib [Hashtbl]s in place of the two open-addressing tables (tuple
+   hash to row ids, value to the last row of its ring) hold the EDB of
+   [Movies.generate ~n_entries:2000] in 199 B per edge
+   ([Obj.reachable_words]), against 145 B with these tables and 177 B
+   for the frozen columns they replaced. *)
+type index = {
+  mutable slots : int array;
+  mutable used : int;
+}
+
+type rel = {
+  mutable n : int;
+  mutable start : int array;
+  mutable data : Label.t array;
+  mutable next : int array;
+  rows : index;
+  mutable probe : index array;
+}
+
+let index_for n =
+  let rec pow2 s = if 3 * s >= 4 * (n + 1) then s else pow2 (2 * s) in
+  { slots = Array.make (pow2 8) (-1); used = 0 }
+
+let create ?(rows = 0) ?(cells = 0) () =
+  {
+    n = 0;
+    start = Array.make (rows + 1) 0;
+    data = Array.make cells (Label.Int 0);
+    next = Array.make cells 0;
+    rows = index_for rows;
+    probe = [||];
+  }
+
+let cell r i j = r.data.(r.start.(i) + j)
+let row r i = List.init (r.start.(i + 1) - r.start.(i)) (cell r i)
+let to_list r = List.init r.n (row r)
+
+(* The slot of [ix] holding a row [same] accepts, else the free slot
+   where it would go: linear probing from hash [h]. *)
+let slot ix h same =
+  let mask = Array.length ix.slots - 1 in
+  let rec go s =
+    let i = ix.slots.(s) in
+    if i < 0 || same i then s else go ((s + 1) land mask)
+  in
+  go (h land mask)
+
+(* Room for one more entry: past three quarters full, double the table
+   and re-place every row by its [hash]. *)
+let reserve ix hash =
+  if 4 * (ix.used + 1) > 3 * Array.length ix.slots then begin
+    let old = ix.slots in
+    ix.slots <- Array.make (2 * Array.length old) (-1);
+    Array.iter (fun i -> if i >= 0 then ix.slots.(slot ix (hash i) (fun _ -> false)) <- i) old
+  end
+
+let tuple_hash t = List.fold_left (fun h v -> (31 * h) + Label.hash v) 0 t
+
+let row_equal r i t =
+  let stop = r.start.(i + 1) in
+  let rec go c = function
+    | [] -> c = stop
+    | v :: t -> c < stop && Label.equal r.data.(c) v && go (c + 1) t
+  in
+  go r.start.(i) t
+
+let row_slot r t = slot r.rows (tuple_hash t) (fun i -> row_equal r i t)
+let mem r t = r.rows.slots.(row_slot r t) >= 0
+
+let value_slot r j v = slot r.probe.(j) (Label.hash v) (fun i -> Label.equal (cell r i j) v)
+
+(* Append row [i]'s position-[j] cell to its value's ring. *)
+let link r i j =
+  let ix = r.probe.(j) in
+  reserve ix (fun i -> Label.hash (cell r i j));
+  let s = value_slot r j (cell r i j) in
+  let c = r.start.(i) + j in
+  let last = ix.slots.(s) in
+  if last < 0 then begin
+    r.next.(c) <- i;
+    ix.used <- ix.used + 1
+  end
+  else begin
+    let lc = r.start.(last) + j in
+    r.next.(c) <- r.next.(lc);
+    r.next.(lc) <- i
+  end;
+  ix.slots.(s) <- i
+
+let grow a len fill =
+  if len <= Array.length a then a
+  else begin
+    let a' = Array.make (max len (2 * Array.length a)) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
+(* Insert [t] as the last row unless [r] holds it; true if inserted. *)
+let add r t =
+  reserve r.rows (fun i -> tuple_hash (row r i));
+  let s = row_slot r t in
+  r.rows.slots.(s) < 0
+  && begin
+       let i = r.n and c = r.start.(r.n) and a = List.length t in
+       r.start <- grow r.start (i + 2) 0;
+       r.data <- grow r.data (c + a) (Label.Int 0);
+       r.next <- grow r.next (c + a) 0;
+       List.iteri (fun j v -> r.data.(c + j) <- v) t;
+       r.start.(i + 1) <- c + a;
+       r.n <- i + 1;
+       r.rows.slots.(s) <- i;
+       r.rows.used <- r.rows.used + 1;
+       let width = Array.length r.probe in
+       if a > width then
+         r.probe <- Array.init a (fun j -> if j < width then r.probe.(j) else index_for 0);
+       for j = 0 to a - 1 do
+         link r i j
+       done;
+       true
+     end
+
+(* Calls [f] on every row holding [v] at position [j], in insertion
+   order. *)
+let iter_probe r j v f =
+  if j < Array.length r.probe then begin
+    let last = r.probe.(j).slots.(value_slot r j v) in
+    let rec go i =
+      f i;
+      if i <> last then go r.next.(r.start.(i) + j)
+    in
+    if last >= 0 then go r.next.(r.start.(last) + j)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
 module Env = Map.Make (String)
 
-(* Tuple sets carry per-position hash indexes so that a body literal with
-   a bound argument probes instead of scanning — the difference between a
-   nested-loop and an indexed join. *)
-type tuple_set = {
-  table : (Label.t list, unit) Hashtbl.t;
-  index : (int * Label.t, Label.t list list ref) Hashtbl.t;
-}
-
-(* [freeze] relies on every set's table starting at this size. *)
-let set_table_size = 64
-
-let set_create () = { table = Hashtbl.create set_table_size; index = Hashtbl.create 64 }
-
-let set_mem s t = Hashtbl.mem s.table t
-
-let set_add s t =
-  if not (Hashtbl.mem s.table t) then begin
-    Hashtbl.replace s.table t ();
-    List.iteri
-      (fun i v ->
-        match Hashtbl.find_opt s.index (i, v) with
-        | Some r -> r := t :: !r
-        | None -> Hashtbl.add s.index (i, v) (ref [ t ]))
-      t
-  end
-
-let set_to_list s = Hashtbl.fold (fun t () acc -> t :: acc) s.table []
-
-let set_probe s ~pos ~value =
-  match Hashtbl.find_opt s.index (pos, value) with
-  | Some r -> !r
-  | None -> []
-
-let set_size s = Hashtbl.length s.table
-
-(* A frozen relation: one extensional predicate of an {!edb}, immutable
-   once built, so concurrent evaluations (and the chunked parallel
-   firing) read it without locks.  Row [i] of the relation is
-   [cols.(0).(i)], [cols.(1).(i)], ...  The row-order rule: rows are
-   numbered in the order [set_to_list] lists a mutable set into which
-   the same tuples were inserted in EDB order, and [probe.(pos)] maps a
-   value to its rows in that set's [set_probe] order, so a scan or a
-   probe enumerates exactly what the set would, in the same order.
-   There is no tuple table: membership probes position 0.  [order]
-   holds the row ids in first-insertion order, from which [set_of_rel]
-   rebuilds that very set. *)
-type rel = {
-  n_rows : int;
-  arity : int; (* -1: mixed arities, see [arities] *)
-  arities : int array; (* per row, only when [arity = -1] *)
-  cols : Label.t array array;
-  probe : (Label.t, int array) Hashtbl.t array;
-  order : int array;
-}
-
 type edb = (string, rel) Hashtbl.t
 
-(* A relation as the evaluator reads it: a mutable set (IDB predicates,
-   deltas, private copies), a frozen EDB relation, or a frozen relation
-   plus the tuples {!Incremental.advance} inserted since. *)
+(* [tbl]'s binding of [p], made by [make] if absent. *)
+let find_or_add tbl p make =
+  match Hashtbl.find_opt tbl p with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    Hashtbl.add tbl p v;
+    v
+
+let edb_of_list preds =
+  let edb = Hashtbl.create 8 in
+  List.iter
+    (fun (p, tuples) ->
+      let cells = List.fold_left (fun n t -> n + List.length t) 0 tuples in
+      let r = find_or_add edb p (create ~rows:(List.length tuples) ~cells) in
+      List.iter (fun t -> ignore (add r t)) tuples)
+    preds;
+  edb
+
+(* Read only: the relation of a predicate nothing holds. *)
+let empty = create ()
+
+(* How the evaluator reads a predicate: one relation, or an EDB relation
+   grown by the tuples an incremental state inserted since. *)
 type view =
-  | Mut of tuple_set
-  | Frozen of rel
-  | Grown of rel * tuple_set
+  | One of rel
+  | Grown of rel * rel
 
-let row_arity r i = if r.arity >= 0 then r.arity else r.arities.(i)
-
-let row_to_list r i = List.init (row_arity r i) (fun j -> r.cols.(j).(i))
-
-let rel_probe r ~pos ~value =
-  if pos >= Array.length r.probe then [||]
-  else Option.value ~default:[||] (Hashtbl.find_opt r.probe.(pos) value)
-
-let row_equal r i tuple =
-  let a = row_arity r i in
-  let rec go j = function
-    | [] -> j = a
-    | v :: rest -> j < a && Label.equal r.cols.(j).(i) v && go (j + 1) rest
-  in
-  go 0 tuple
-
-let rel_mem r = function
-  | [] ->
-    let rec go i = i < r.n_rows && (row_arity r i = 0 || go (i + 1)) in
-    go 0
-  | v :: _ as tuple ->
-    Array.exists (fun i -> row_equal r i tuple) (rel_probe r ~pos:0 ~value:v)
-
-let view_mem view tuple =
+let view_mem view t =
   match view with
-  | Mut s -> set_mem s tuple
-  | Frozen r -> rel_mem r tuple
-  | Grown (r, s) -> rel_mem r tuple || set_mem s tuple
+  | One r -> mem r t
+  | Grown (r, a) -> mem r t || mem a t
 
 let eval_term env = function
   | Const l -> l
@@ -390,41 +486,24 @@ let eval_term env = function
     | Some l -> l
     | None -> Ssd_diag.error ~code:"SSD203" "unbound variable ?%s" v)
 
-(* Match an atom's args against a concrete tuple under [env]; None on
-   mismatch. *)
-let match_tuple env args tuple =
-  let rec go env args tuple =
-    match args, tuple with
-    | [], [] -> Some env
-    | arg :: args, v :: tuple -> (
-      match arg with
-      | Const l -> if Label.equal l v then go env args tuple else None
-      | Var x -> (
-        match Env.find_opt x env with
-        | Some l -> if Label.equal l v then go env args tuple else None
-        | None -> go (Env.add x v env) args tuple))
-    | _ -> None
-  in
-  go env args tuple
-
-(* [match_tuple] against row [i] of a frozen relation, read in place
-   (written out rather than shared: this is the join's inner loop). *)
-let match_row env args r i =
-  let a = row_arity r i in
-  let rec go env j args =
+(* Match an atom's args against row [i] of [r], read in place, under
+   [env]; None on mismatch. *)
+let match_tuple env args r i =
+  let stop = r.start.(i + 1) in
+  let rec go env c args =
     match args with
-    | [] -> if j = a then Some env else None
-    | _ when j >= a -> None
+    | [] -> if c = stop then Some env else None
+    | _ when c = stop -> None
     | arg :: args -> (
-      let v = r.cols.(j).(i) in
+      let v = r.data.(c) in
       match arg with
-      | Const l -> if Label.equal l v then go env (j + 1) args else None
+      | Const l -> if Label.equal l v then go env (c + 1) args else None
       | Var x -> (
         match Env.find_opt x env with
-        | Some l -> if Label.equal l v then go env (j + 1) args else None
-        | None -> go (Env.add x v env) (j + 1) args))
+        | Some l -> if Label.equal l v then go env (c + 1) args else None
+        | None -> go (Env.add x v env) (c + 1) args))
   in
-  go env 0 args
+  go env r.start.(i) args
 
 let eval_cmp op l1 l2 =
   let c = Label.compare l1 l2 in
@@ -437,7 +516,7 @@ let eval_cmp op l1 l2 =
   | Ge -> c >= 0
 
 (* First argument position whose value is fixed under [env]; probing that
-   position's index replaces a relation scan. *)
+   position's rings replaces a relation scan. *)
 let bound_position env args =
   let rec go i = function
     | [] -> None
@@ -449,275 +528,107 @@ let bound_position env args =
   in
   go 0 args
 
-(* Calls [k] with every extension of [env] matching [args] against a
-   tuple of [view]: a probe of the first bound position's index, else a
-   scan, in the same order for every kind of view. *)
-let rec iter_matches view env args k =
-  match view with
-  | Mut s ->
-    let candidates =
-      match bound_position env args with
-      | Some (pos, value) -> set_probe s ~pos ~value
-      | None -> set_to_list s
-    in
-    List.iter
-      (fun t -> match match_tuple env args t with Some env' -> k env' | None -> ())
-      candidates
-  | Frozen r -> (
-    let visit i = match match_row env args r i with Some env' -> k env' | None -> () in
-    match bound_position env args with
-    | Some (pos, value) -> Array.iter visit (rel_probe r ~pos ~value)
-    | None ->
-      for i = 0 to r.n_rows - 1 do
-        visit i
-      done)
-  | Grown (r, s) ->
-    iter_matches (Frozen r) env args k;
-    iter_matches (Mut s) env args k
+(* Calls [k] with every extension of [env] matching [args] against a row
+   of [r] in [lo, hi): a probe of the first bound position when the
+   range is the whole relation, else a scan; insertion order either
+   way. *)
+let iter_matches ?(lo = 0) ?hi r env args k =
+  let hi = Option.value hi ~default:r.n in
+  let visit i = match match_tuple env args r i with Some env' -> k env' | None -> () in
+  match bound_position env args with
+  | Some (pos, value) when lo = 0 && hi = r.n -> iter_probe r pos value visit
+  | _ ->
+    for i = lo to hi - 1 do
+      visit i
+    done
 
-(* Evaluate the body left-to-right over environments.  [set_of] maps a
-   predicate to its current view; the positive literal at index
-   [delta_at] (if given) reads [delta] instead — or, if [delta_list] is
-   given, exactly that tuple list in order (used by the chunked parallel
-   firing, where the slice stands in for the delta). *)
-let eval_rule_raw ~set_of ?delta_at ?delta ?delta_list rule =
-  let results = ref [] in
-  let rec go i env lits =
-    match lits with
-    | [] ->
-      let tuple = List.map (eval_term env) rule.head.args in
-      results := tuple :: !results
-    | Pos a :: rest -> (
+(* What an evaluation reads and writes: the shared [edb], read in place
+   and never written; [facts], one relation per head predicate (an
+   EDB-headed one starts as a private copy of the EDB relation); and
+   [added], the EDB tuples an incremental state inserted since it was
+   prepared. *)
+type model = {
+  edb : edb;
+  facts : (string, rel) Hashtbl.t;
+  added : (string, rel) Hashtbl.t;
+}
+
+let heads program = List.map (fun r -> r.head.pred) program |> List.sort_uniq String.compare
+
+let model edb program =
+  let facts = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      let s = create () in
+      Option.iter (fun r -> List.iter (fun t -> ignore (add s t)) (to_list r)) (Hashtbl.find_opt edb p);
+      Hashtbl.add facts p s)
+    (heads program);
+  { edb; facts; added = Hashtbl.create 4 }
+
+let view m p =
+  match Hashtbl.find_opt m.facts p with
+  | Some s -> One s
+  | None -> (
+    match (Hashtbl.find_opt m.edb p, Hashtbl.find_opt m.added p) with
+    | Some r, None -> One r
+    | Some r, Some a -> Grown (r, a)
+    | None, Some a -> One a
+    | None, None -> One empty)
+
+(* The relation a new [p] fact goes into. *)
+let target m p =
+  match Hashtbl.find_opt m.facts p with
+  | Some s -> s
+  | None -> find_or_add m.added p create
+
+let result m program = List.map (fun p -> (p, to_list (Hashtbl.find m.facts p))) (heads program)
+
+(* The head tuples [rule] derives, in enumeration order.  A positive
+   literal reads its predicate's view, except the one at index [at],
+   which reads the delta [d] (only its rows [range] in a chunk of a
+   parallel firing). *)
+let fire m ?(at = -1) ?(d = empty) ?range rule =
+  let out = ref [] in
+  let rec go i env = function
+    | [] -> out := List.map (eval_term env) rule.head.args :: !out
+    | (Pos a, view) :: rest -> (
       let k env' = go (i + 1) env' rest in
-      match delta_at, delta_list with
-      | Some d, Some tuples when d = i ->
-        List.iter
-          (fun t -> match match_tuple env a.args t with Some env' -> k env' | None -> ())
-          tuples
-      | _ ->
-        let view =
-          match delta_at, delta with
-          | Some d, Some dset when d = i -> Mut dset
-          | _ -> set_of a.pred
-        in
-        iter_matches view env a.args k)
-    | Neg a :: rest ->
-      let tuple = List.map (eval_term env) a.args in
-      if not (view_mem (set_of a.pred) tuple) then go (i + 1) env rest
-    | Cmp (op, t1, t2) :: rest ->
+      match view with
+      | _ when i = at ->
+        let lo, hi = Option.value range ~default:(0, d.n) in
+        iter_matches ~lo ~hi d env a.args k
+      | One r -> iter_matches r env a.args k
+      | Grown (r, added) ->
+        iter_matches r env a.args k;
+        iter_matches added env a.args k)
+    | (Neg a, view) :: rest ->
+      if not (view_mem view (List.map (eval_term env) a.args)) then go (i + 1) env rest
+    | (Cmp (op, t1, t2), _) :: rest ->
       if eval_cmp op (eval_term env t1) (eval_term env t2) then go (i + 1) env rest
   in
-  go 0 Env.empty rule.body;
-  !results
+  let view_of = function Pos a | Neg a -> view m a.pred | Cmp _ -> One empty in
+  go 0 Env.empty (List.map (fun lit -> (lit, view_of lit)) rule.body);
+  List.rev !out
 
-let eval_rule ~set_of ?delta_at ?delta rule =
+(* [rule] fired with its positive literal at [at] reading the delta [d].
+   When no positive literal precedes it (the common shape for linear
+   recursion, e.g. [reach(?Y) :- reach(?X), e(?X, ?Y)]), the delta's
+   rows are split into ranges across the domain pool: each chunk only
+   reads, and the chunks' derivations are concatenated in ascending
+   order, which is the whole delta's derivation order for every
+   chunking, so answers are byte-identical for every --jobs value.  A
+   delta literal under an outer enumeration fires sequentially (see
+   DESIGN.md). *)
+let fire_delta m rule at d =
   Metrics.incr m_firings;
-  eval_rule_raw ~set_of ?delta_at ?delta rule
-
-(* Fire [rule] with the delta literal at [delta_at] reading [delta],
-   partitioned across the domain pool when the delta literal is the
-   outermost enumeration (no positive literal before it — the common
-   shape for linear recursion, e.g. [reach(?Y) :- reach(?X), e(?X,?Y)]).
-   The delta is materialized once; each chunk fires the rule over its
-   slice (pure reads — facts are only added afterwards, on the calling
-   domain) and per-chunk derivations are prepended in ascending chunk
-   order, which reproduces the whole-list derivation order for every
-   chunking.  Derived-tuple order determines set insertion order and so
-   the final output order, so this keeps answers byte-identical for
-   every --jobs value.  Rules whose delta literal sits under an outer
-   enumeration fire sequentially (see DESIGN.md). *)
-let eval_rule_delta ~set_of ~delta_at ~delta rule =
-  Metrics.incr m_firings;
-  let rec no_pos_before i = function
-    | _ when i <= 0 -> true
-    | [] -> true
-    | Pos _ :: _ -> false
-    | (Neg _ | Cmp _) :: rest -> no_pos_before (i - 1) rest
-  in
-  if not (no_pos_before delta_at rule.body) then
-    eval_rule_raw ~set_of ~delta_at ~delta rule
-  else begin
-    let tuples = Array.of_list (set_to_list delta) in
-    Ssd_par.Pool.fold_chunks ~n:(Array.length tuples)
-      ~chunk:(fun lo hi ->
-        let slice = Array.to_list (Array.sub tuples lo (hi - lo)) in
-        eval_rule_raw ~set_of ~delta_at ~delta_list:slice rule)
-      ~combine:(fun acc part -> part @ acc)
+  let before = List.filteri (fun j _ -> j < at) rule.body in
+  if List.exists (function Pos _ -> true | Neg _ | Cmp _ -> false) before then fire m ~at ~d rule
+  else
+    Ssd_par.Pool.fold_chunks ~n:d.n
+      ~chunk:(fun lo hi -> fire m ~at ~d ~range:(lo, hi) rule)
+      ~combine:(fun acc part -> part :: acc)
       []
-  end
-
-let empty_set = set_create ()
-
-let facts_get facts p = Option.value ~default:empty_set (Hashtbl.find_opt facts p)
-
-let facts_set facts p =
-  match Hashtbl.find_opt facts p with
-  | Some s -> s
-  | None ->
-    let s = set_create () in
-    Hashtbl.add facts p s;
-    s
-
-(* Freeze one predicate's tuples ([chunks], in EDB order, duplicates
-   allowed).  Inserting the distinct tuples into a table of the mutable
-   sets' initial size reproduces a mutable set's bucket layout, so
-   folding it yields [set_to_list]'s row order; consing row ids in
-   insertion order yields [set_probe]'s.  [ints] interns [Int] labels
-   (node ids recur across rows and positions) across the whole base. *)
-let freeze ints chunks =
-  let table : (Label.t list, int) Hashtbl.t = Hashtbl.create set_table_size in
-  let inserted = ref [] in
-  List.iter
-    (List.iter (fun t ->
-         if not (Hashtbl.mem table t) then begin
-           Hashtbl.replace table t (Hashtbl.length table);
-           inserted := t :: !inserted
-         end))
-    chunks;
-  let n = Hashtbl.length table in
-  let inserted = Array.of_list (List.rev !inserted) in
-  let order = Array.make n 0 in
-  ignore (Hashtbl.fold (fun _ k row -> order.(k) <- row; row - 1) table (n - 1));
-  let len k = List.length inserted.(k) in
-  let arity =
-    if n = 0 then 0
-    else if Array.for_all (fun t -> List.length t = len 0) inserted then len 0
-    else -1
-  in
-  let arities =
-    if arity >= 0 then [||]
-    else begin
-      let a = Array.make n 0 in
-      Array.iteri (fun k row -> a.(row) <- len k) order;
-      a
-    end
-  in
-  let width = Array.fold_left (fun w t -> max w (List.length t)) 0 inserted in
-  let intern = function
-    | Label.Int i as l -> (
-      match Hashtbl.find_opt ints i with
-      | Some l' -> l'
-      | None ->
-        Hashtbl.add ints i l;
-        l)
-    | l -> l
-  in
-  let cols = Array.init width (fun _ -> Array.make n (Label.Int 0)) in
-  let groups = Array.init width (fun _ -> Hashtbl.create 64) in
-  Array.iteri
-    (fun k t ->
-      let row = order.(k) in
-      List.iteri
-        (fun j v ->
-          let v = intern v in
-          cols.(j).(row) <- v;
-          match Hashtbl.find_opt groups.(j) v with
-          | Some rows -> rows := row :: !rows
-          | None -> Hashtbl.add groups.(j) v (ref [ row ]))
-        t)
-    inserted;
-  let probe =
-    Array.map
-      (fun g ->
-        let h = Hashtbl.create (Hashtbl.length g) in
-        Hashtbl.iter (fun v rows -> Hashtbl.add h v (Array.of_list !rows)) g;
-        h)
-      groups
-  in
-  { n_rows = n; arity; arities; cols; probe; order }
-
-let edb_of_list edb =
-  let chunks = Hashtbl.create 8 and preds = ref [] in
-  List.iter
-    (fun (p, tuples) ->
-      match Hashtbl.find_opt chunks p with
-      | Some c -> c := tuples :: !c
-      | None ->
-        Hashtbl.add chunks p (ref [ tuples ]);
-        preds := p :: !preds)
-    edb;
-  let ints = Hashtbl.create 1024 in
-  let edb = Hashtbl.create 8 in
-  List.iter
-    (fun p -> Hashtbl.add edb p (freeze ints (List.rev !(Hashtbl.find chunks p))))
-    (List.rev !preds);
-  edb
-
-(* [r] as a mutable set: its distinct tuples re-inserted in their
-   original order. *)
-let set_of_rel r =
-  let s = set_create () in
-  Array.iter (fun row -> set_add s (row_to_list r row)) r.order;
-  s
-
-(* A fact table for [program] over [edb]: a rule whose head names an EDB
-   predicate adds to it, so that predicate gets a private mutable copy
-   and [edb] itself is never written. *)
-let private_copies edb program =
-  let facts = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      let p = r.head.pred in
-      match Hashtbl.find_opt edb p with
-      | Some rel when not (Hashtbl.mem facts p) -> Hashtbl.add facts p (set_of_rel rel)
-      | _ -> ())
-    program;
-  facts
-
-(* How the evaluator reads [p]: its mutable set in [facts] if it has
-   one, else the EDB relation read in place, grown by the tuples in
-   [added]. *)
-let view_of edb facts added p =
-  match Hashtbl.find_opt facts p with
-  | Some s -> Mut s
-  | None -> (
-    match (Hashtbl.find_opt edb p, Hashtbl.find_opt added p) with
-    | Some r, None -> Frozen r
-    | Some r, Some s -> Grown (r, s)
-    | None, Some s -> Mut s
-    | None, None -> Mut empty_set)
-
-let nothing_added : (string, tuple_set) Hashtbl.t = Hashtbl.create 1
-
-let idb_result program facts =
-  let idb = List.map (fun r -> r.head.pred) program |> List.sort_uniq String.compare in
-  List.map (fun p -> (p, set_to_list (facts_get facts p))) idb
-
-let strata_order program =
-  let strata = stratify program in
-  let max_s = Hashtbl.fold (fun _ s acc -> max acc s) strata 0 in
-  List.init (max_s + 1) (fun s ->
-      List.filter (fun r -> Hashtbl.find strata r.head.pred = s) program)
-
-let eval_naive ~edb program =
-  check_safety program;
-  Metrics.incr m_evals;
-  Metrics.time t_eval @@ fun () ->
-  (* reads mutable copies only, independent of the frozen join path *)
-  let facts = Hashtbl.create 16 in
-  Hashtbl.iter (fun p r -> Hashtbl.add facts p (set_of_rel r)) edb;
-  let set_of p = Mut (facts_get facts p) in
-  List.iter
-    (fun rules ->
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        List.iter
-          (fun r ->
-            let derived = eval_rule ~set_of r in
-            let s = facts_set facts r.head.pred in
-            List.iter
-              (fun t ->
-                if not (set_mem s t) then begin
-                  set_add s t;
-                  Metrics.incr m_facts;
-                  changed := true
-                end)
-              derived)
-          rules
-      done)
-    (strata_order program);
-  idb_result program facts
+    |> List.rev |> List.concat
 
 (* Budget exhaustion aborts the fixpoint from deep inside the derivation
    loops; the catch site returns the facts accumulated so far.  That
@@ -729,92 +640,159 @@ exception Out_of_budget
 
 let check_budget b = if not (Budget.step b) then raise Out_of_budget
 
-(* The stratified semi-naive fixpoint, reading [edb] in place. *)
+(* A function inserting the [p] facts [m] lacks into [m] and into [p]'s
+   delta in [deltas]. *)
+let inserter ~budget m deltas p =
+  let s = target m p and d = find_or_add deltas p create in
+  let view = view m p in
+  fun t ->
+    check_budget budget;
+    if not (view_mem view t) then begin
+      ignore (add s t);
+      ignore (add d t);
+      Metrics.incr m_facts
+    end
+
+(* A naive round: every rule of [rules] fired once over the whole
+   model. *)
+let naive_round ~budget m rules insert =
+  List.iter
+    (fun r ->
+      check_budget budget;
+      Metrics.incr m_firings;
+      List.iter (insert r.head.pred) (fire m r))
+    rules
+
+(* The semi-naive fixpoint of [rules] over [m], the one loop {!eval},
+   {!Incremental.prepare} and {!Incremental.advance} run.  [seed] makes
+   the first delta through the inserter it is given: a naive round, or
+   the EDB tuples an update inserts.  Each later round fires every rule
+   once per positive body literal whose predicate has a delta, that
+   literal reading only the facts the previous round added, until a
+   round adds none. *)
+let seminaive ~budget m rules seed =
+  let rec rounds deltas =
+    let total = Hashtbl.fold (fun _ d acc -> acc + d.n) deltas 0 in
+    if total > 0 then begin
+      Metrics.add m_delta total;
+      Metrics.observe h_delta (float_of_int total);
+      Trace.bump "delta_tuples" total;
+      Metrics.incr m_rounds;
+      Trace.bump "rounds" 1;
+      let next = Hashtbl.create 8 in
+      List.iter
+        (fun r ->
+          List.iteri
+            (fun i lit ->
+              match lit with
+              | Pos a -> (
+                match Hashtbl.find_opt deltas a.pred with
+                | Some d when d.n > 0 ->
+                  check_budget budget;
+                  List.iter (inserter ~budget m next r.head.pred) (fire_delta m r i d)
+                | _ -> ())
+              | Neg _ | Cmp _ -> ())
+            r.body)
+        rules;
+      rounds next
+    end
+  in
+  let deltas = Hashtbl.create 8 in
+  seed (inserter ~budget m deltas);
+  rounds deltas
+
+let strata_order program =
+  let strata = stratify program in
+  let max_s = Hashtbl.fold (fun _ s acc -> max acc s) strata 0 in
+  List.init (max_s + 1) (fun s ->
+      List.filter (fun r -> Hashtbl.find strata r.head.pred = s) program)
+
+(* The reference [eval] is tested against, sharing no relation or
+   matching code with it: EDB relations are read once through [to_list];
+   a predicate's tuples are a list, newest first, and Stdlib hash tables
+   of its tuples and of each (position, value)'s tuples, whose
+   [compare]-based keys agree with [Label.equal].  Naive rounds fire
+   every rule of a stratum over all facts until a round adds none. *)
+let eval_naive ~edb program =
+  check_safety program;
+  Metrics.incr m_evals;
+  Metrics.time t_eval @@ fun () ->
+  let insert (all, set, at) t =
+    (not (Hashtbl.mem set t))
+    && begin
+         Hashtbl.add set t ();
+         Metrics.incr m_facts;
+         all := t :: !all;
+         List.iteri (fun j v -> Hashtbl.add at (j, v) t) t;
+         true
+       end
+  in
+  (* A head predicate starts from its EDB tuples. *)
+  let rels = Hashtbl.create 16 in
+  let rel p =
+    find_or_add rels p (fun () ->
+        let r = (ref [], Hashtbl.create 16, Hashtbl.create 16) in
+        Option.iter (fun e -> List.iter (fun t -> ignore (insert r t)) (to_list e)) (Hashtbl.find_opt edb p);
+        r)
+  in
+  let rec unify env args t =
+    match (args, t) with
+    | [], [] -> Some env
+    | Const l :: args, v :: t -> if Label.equal l v then unify env args t else None
+    | Var x :: args, v :: t -> (
+      match Env.find_opt x env with
+      | Some l -> if Label.equal l v then unify env args t else None
+      | None -> unify (Env.add x v env) args t)
+    | _ -> None
+  in
+  let fire r =
+    let out = ref [] in
+    let rec go env = function
+      | [] -> out := List.map (eval_term env) r.head.args :: !out
+      | Pos a :: rest ->
+        let all, _, at = rel a.pred in
+        let bound j = function
+          | Const l -> Some (j, l)
+          | Var x -> Option.map (fun l -> (j, l)) (Env.find_opt x env)
+        in
+        let tuples =
+          match List.find_mapi bound a.args with None -> !all | Some key -> Hashtbl.find_all at key
+        in
+        List.iter (fun t -> Option.iter (fun env -> go env rest) (unify env a.args t)) (List.rev tuples)
+      | Neg a :: rest ->
+        let _, set, _ = rel a.pred in
+        if not (Hashtbl.mem set (List.map (eval_term env) a.args)) then go env rest
+      | Cmp (op, t1, t2) :: rest -> if eval_cmp op (eval_term env t1) (eval_term env t2) then go env rest
+    in
+    go Env.empty r.body;
+    List.rev !out
+  in
+  let rec fixpoint rules =
+    let grew r =
+      Metrics.incr m_firings;
+      List.fold_left (fun grew t -> insert (rel r.head.pred) t || grew) false (fire r)
+    in
+    if List.fold_left (fun acc r -> grew r || acc) false rules then fixpoint rules
+  in
+  List.iter fixpoint (strata_order program);
+  List.map (fun p -> let all, _, _ = rel p in (p, List.rev !all)) (heads program)
+
 let eval ?budget ~edb program =
   check_safety program;
   Metrics.incr m_evals;
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   Metrics.time t_eval @@ fun () ->
   Trace.with_span "datalog.eval" @@ fun () ->
-  let facts = private_copies edb program in
-  let set_of = view_of edb facts nothing_added in
+  let m = model edb program in
   (try
      List.iteri
        (fun stratum rules ->
-      Trace.with_span "datalog.stratum"
-        ~attrs:[ ("stratum", Trace.Int stratum); ("rules", Trace.Int (List.length rules)) ]
-      @@ fun () ->
-      let stratum_preds =
-        List.map (fun r -> r.head.pred) rules |> List.sort_uniq String.compare
-      in
-      (* Round 0: naive evaluation seeds the deltas. *)
-      let deltas = Hashtbl.create 8 in
-      List.iter (fun p -> Hashtbl.replace deltas p (set_create ())) stratum_preds;
-      List.iter
-        (fun r ->
-          check_budget budget;
-          let s = facts_set facts r.head.pred in
-          let d = Hashtbl.find deltas r.head.pred in
-          List.iter
-            (fun t ->
-              check_budget budget;
-              if not (set_mem s t) then begin
-                set_add s t;
-                set_add d t;
-                Metrics.incr m_facts
-              end)
-            (eval_rule ~set_of r))
-        rules;
-      let record_deltas () =
-        let total = Hashtbl.fold (fun _ d acc -> acc + set_size d) deltas 0 in
-        if total > 0 then begin
-          Metrics.add m_delta total;
-          Metrics.observe h_delta (float_of_int total);
-          Trace.bump "delta_tuples" total
-        end
-      in
-      record_deltas ();
-      (* Semi-naive rounds: each rule fires once per positive body literal
-         of an in-stratum predicate, with that literal reading the delta. *)
-      let any_delta () =
-        Hashtbl.fold (fun _ d acc -> acc || set_size d > 0) deltas false
-      in
-      while any_delta () do
-        Metrics.incr m_rounds;
-        Trace.bump "rounds" 1;
-        let new_deltas = Hashtbl.create 8 in
-        List.iter (fun p -> Hashtbl.replace new_deltas p (set_create ())) stratum_preds;
-        List.iter
-          (fun r ->
-            List.iteri
-              (fun i lit ->
-                match lit with
-                | Pos a when List.mem a.pred stratum_preds ->
-                  let delta = Hashtbl.find deltas a.pred in
-                  if set_size delta > 0 then begin
-                    check_budget budget;
-                    let derived = eval_rule_delta ~set_of ~delta_at:i ~delta r in
-                    let s = facts_set facts r.head.pred in
-                    let nd = Hashtbl.find new_deltas r.head.pred in
-                    List.iter
-                      (fun t ->
-                        check_budget budget;
-                        if not (set_mem s t) then begin
-                          set_add s t;
-                          set_add nd t;
-                          Metrics.incr m_facts
-                        end)
-                      derived
-                  end
-                | Pos _ | Neg _ | Cmp _ -> ())
-              r.body)
-          rules;
-        List.iter (fun p -> Hashtbl.replace deltas p (Hashtbl.find new_deltas p)) stratum_preds;
-        record_deltas ()
-      done)
+         Trace.with_span "datalog.stratum"
+           ~attrs:[ ("stratum", Trace.Int stratum); ("rules", Trace.Int (List.length rules)) ]
+         @@ fun () -> seminaive ~budget m rules (naive_round ~budget m rules))
        (strata_order program)
    with Out_of_budget -> ());
-  idb_result program facts
+  result m program
 
 let eval_outcome ~budget ~edb program = Budget.wrap budget (eval ~budget ~edb program)
 
@@ -828,18 +806,15 @@ let query ~edb program pred =
 (* ------------------------------------------------------------------ *)
 
 module Incremental = struct
-  (* A retained model: the fact table of a completed evaluation over an
-     EDB held by reference, advanced in place when new EDB facts arrive.
-     Inserted EDB tuples go to [added], never into the shared EDB.
-     Insertion-only and negation-free: a negation-free program is
-     monotone in its EDB, so the delta rounds below compute exactly the
-     new least model minus the old one — the same rounds [eval] runs,
-     just seeded from the inserted facts instead of from scratch. *)
+  (* A retained model over an EDB held by reference, advanced in place:
+     inserted EDB tuples go to the model's [added] relations, never into
+     the shared EDB.  Insertion-only and negation-free: a negation-free
+     program is monotone in its EDB, so the semi-naive rounds seeded
+     from the inserted facts compute exactly the new least model minus
+     the old one. *)
   type state = {
     program : program;
-    edb : edb;
-    facts : (string, tuple_set) Hashtbl.t;
-    added : (string, tuple_set) Hashtbl.t;
+    m : model;
   }
 
   let m_advances = Metrics.counter "incr.datalog.advances"
@@ -851,111 +826,36 @@ module Incremental = struct
         List.for_all (function Neg _ -> false | Pos _ | Cmp _ -> true) r.body)
       program
 
+  (* Negation-free: one stratum, so this is [eval]'s fixpoint exactly. *)
   let prepare ~edb program =
     check_safety program;
     if not (supported program) then
       Ssd_diag.error ~code:"SSD213"
         "incremental maintenance requires a negation-free program";
-    let facts = private_copies edb program in
-    let set_of = view_of edb facts nothing_added in
-    (* Negation-free: one stratum; naive rounds to the fixpoint (the
-       retained sets make later advances cheap, prepare itself is a
-       one-off). *)
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun r ->
-          let derived = eval_rule ~set_of r in
-          let s = facts_set facts r.head.pred in
-          List.iter
-            (fun t ->
-              if not (set_mem s t) then begin
-                set_add s t;
-                Metrics.incr m_facts;
-                changed := true
-              end)
-            derived)
-        program
-    done;
-    { program; edb; facts; added = Hashtbl.create 4 }
+    let m = model edb program in
+    let budget = Budget.unlimited () in
+    seminaive ~budget m program (naive_round ~budget m program);
+    { program; m }
 
-  let result st = idb_result st.program st.facts
+  let result st = result st.m st.program
 
-  (* [advance st ~edb_delta] adds the given EDB facts and propagates;
-     returns the {e new} tuples per IDB predicate (possibly empty). *)
+  (* The new tuples of each head predicate are the rows its relation
+     gained. *)
   let advance st ~edb_delta =
     Metrics.incr m_advances;
-    let set_of = view_of st.edb st.facts st.added in
-    let idb =
-      List.map (fun r -> r.head.pred) st.program |> List.sort_uniq String.compare
+    let mark p =
+      let s = Hashtbl.find st.m.facts p in
+      (p, s, s.n)
     in
-    let fresh : (string, tuple_set) Hashtbl.t = Hashtbl.create 8 in
-    List.iter (fun p -> Hashtbl.replace fresh p (set_create ())) idb;
-    (* Seed: genuinely new EDB facts become the first delta. *)
-    let deltas : (string, tuple_set) Hashtbl.t = Hashtbl.create 8 in
-    let delta_get p =
-      match Hashtbl.find_opt deltas p with
-      | Some d -> d
-      | None ->
-        let d = set_create () in
-        Hashtbl.add deltas p d;
-        d
-    in
-    List.iter
-      (fun (p, tuples) ->
-        let s = facts_set (if List.mem p idb then st.facts else st.added) p in
-        let view = set_of p in
-        List.iter
-          (fun t ->
-            if not (view_mem view t) then begin
-              set_add s t;
-              set_add (delta_get p) t
-            end)
-          tuples)
-      edb_delta;
-    let any_delta () =
-      Hashtbl.fold (fun _ d acc -> acc || set_size d > 0) deltas false
-    in
-    while any_delta () do
-      Metrics.incr m_rounds;
-      let new_deltas : (string, tuple_set) Hashtbl.t = Hashtbl.create 8 in
-      List.iter (fun p -> Hashtbl.replace new_deltas p (set_create ())) idb;
-      List.iter
-        (fun r ->
-          List.iteri
-            (fun i lit ->
-              match lit with
-              | Pos a -> (
-                match Hashtbl.find_opt deltas a.pred with
-                | Some delta when set_size delta > 0 ->
-                  let derived = eval_rule_delta ~set_of ~delta_at:i ~delta r in
-                  let s = facts_set st.facts r.head.pred in
-                  let nd = Hashtbl.find new_deltas r.head.pred in
-                  let acc = Hashtbl.find fresh r.head.pred in
-                  List.iter
-                    (fun t ->
-                      if not (set_mem s t) then begin
-                        set_add s t;
-                        set_add nd t;
-                        set_add acc t;
-                        Metrics.incr m_facts;
-                        Metrics.incr m_new_facts
-                      end)
-                    derived
-                | _ -> ())
-              | Neg _ | Cmp _ -> ())
-            r.body)
-        st.program;
-      Hashtbl.reset deltas;
-      Hashtbl.iter (fun p d -> Hashtbl.replace deltas p d) new_deltas
-    done;
+    let marks = List.map mark (heads st.program) in
+    seminaive ~budget:(Budget.unlimited ()) st.m st.program (fun insert ->
+        List.iter (fun (p, tuples) -> List.iter (insert p) tuples) edb_delta);
     List.filter_map
-      (fun p ->
-        match set_to_list (Hashtbl.find fresh p) with
-        | [] -> None
-        | tuples -> Some (p, tuples))
-      idb
+      (fun (p, s, mark) ->
+        let k = s.n - mark in
+        Metrics.add m_new_facts k;
+        if k = 0 then None else Some (p, List.init k (fun i -> row s (mark + i))))
+      marks
 end
 
 (* ------------------------------------------------------------------ *)
@@ -970,10 +870,10 @@ end
    part of [eval]: derivation order — and thus tuple order — changes,
    which callers relying on byte-identical output must not see. *)
 let reorder ~edb program =
-  let default_size = max 1 (Hashtbl.fold (fun _ r acc -> acc + r.n_rows) edb 0) in
+  let default_size = max 1 (Hashtbl.fold (fun _ r acc -> acc + r.n) edb 0) in
   let size pred =
     match Hashtbl.find_opt edb pred with
-    | Some r -> r.n_rows
+    | Some r -> r.n
     | None -> default_size (* IDB: unknown until evaluated *)
   in
   let reorder_body body =

@@ -58,21 +58,31 @@ val parse : string -> program
 val pp_rule : Format.formatter -> rule -> unit
 val pp_program : Format.formatter -> program -> unit
 
-(** An extensional database: predicate name to tuples, frozen.  It is
-    immutable once built, read in place by every evaluation, safe to
-    share across concurrent evaluations and domains, and compact (column
-    arrays, one row-id array per position and value, [Int] labels
-    interned).  The server builds one per published snapshot. *)
+(** An extensional database: predicate name to tuples.  It is never
+    written once built, read in place by every evaluation, and safe to
+    share across concurrent evaluations and domains.  The server builds
+    one per published snapshot.
+
+    {b Order contract.}  Every relation the evaluator holds (the EDB,
+    derived facts, deltas) lists its tuples in first-insertion order,
+    whether scanned or probed on a bound argument.  So a rule derives
+    its tuples in the nested-loop order of its body, and each
+    predicate's answer lists its tuples in derivation order. *)
 type edb
 
-(** [edb_of_list preds] freezes a literal EDB; a predicate listed twice
-    is the union of its entries.  {!Triple.edb} builds a graph's. *)
+(** [edb_of_list preds] builds a literal EDB; a predicate listed twice
+    is the union of its entries, and a repeated tuple keeps its first
+    place.  {!Triple.edb} builds a graph's. *)
 val edb_of_list : (string * Ssd.Label.t list list) list -> edb
 
 (** [eval ?budget ~edb program] computes the least fixpoint (per stratum,
     semi-naive within strata) and returns all derived predicates with
-    their tuples.  A rule whose head names an [edb] predicate derives
-    into a private copy; [edb] itself is never modified.
+    their tuples, each in derivation order: round 0 fires the rules in
+    program order, each later round fires them again against the
+    previous round's new facts.  A rule whose head names an [edb]
+    predicate derives into a private copy, which lists the [edb] tuples
+    first; [edb] itself is never modified.  The answer is the same for
+    every [--jobs] value.
 
     A {!Ssd.Budget} is consumed per rule firing and per derived tuple.
     On exhaustion the fixpoint stops and the facts accumulated so far are
@@ -90,13 +100,15 @@ val eval_outcome :
   program ->
   (string * Ssd.Label.t list list) list Ssd.Budget.outcome
 
-(** [query ~edb program pred] is the tuple set of one predicate (empty if
-    never derived). *)
+(** [query ~edb program pred] is one predicate's tuples as {!eval} lists
+    them, in derivation order (empty if never derived). *)
 val query : edb:edb -> program -> string -> Ssd.Label.t list list
 
 (** Naive (full re-derivation) fixpoint — the reference implementation the
-    tests compare {!eval} against.  It copies [edb] into mutable sets
-    first, so it shares no join path with {!eval}. *)
+    tests compare {!eval} against.  It shares no relation or matching code
+    with {!eval}: it reads each EDB relation once as a list and holds
+    tuples in lists and Stdlib hash tables.  Each predicate's tuples are
+    listed in insertion order. *)
 val eval_naive : edb:edb -> program -> (string * Ssd.Label.t list list) list
 
 (** Number of strata the program splits into. *)
@@ -118,22 +130,27 @@ module Incremental : sig
       single tuple, monotonically). *)
   val supported : program -> bool
 
-  (** Evaluate [program] over [edb] and retain the full model.  The state
-      reads [edb] in place and keeps it by reference, never modified.
+  (** Evaluate [program] over [edb] and retain the full model.  It runs
+      {!eval}'s fixpoint, so [result (prepare ~edb p)] is [eval ~edb p]
+      exactly, tuple order included.  The state reads [edb] in place and
+      keeps it by reference, never modified.
       @raise Ssd_diag.Fail on safety violations, or (code SSD213) if the
       program is not {!supported}. *)
   val prepare : edb:edb -> program -> state
 
-  (** All derived predicates of the retained model, as {!eval} would
-      return them (tuple order may differ; content is equal). *)
+  (** All derived predicates of the retained model: after {!prepare},
+      {!eval}'s answer; each {!advance} appends its new tuples. *)
   val result : state -> (string * Ssd.Label.t list list) list
 
   (** [advance st ~edb_delta] inserts the given extensional tuples into
       the state (already-present tuples are ignored; the prepared [edb]
-      is unchanged) and runs semi-naive delta rounds from them.  Returns the {e newly derived} tuples per IDB
-      predicate — exactly the difference between the new and old least
-      models, since negation-free programs are monotone.  Empty list:
-      the update provably changed no derived fact. *)
+      is unchanged) and runs the same semi-naive rounds as {!eval},
+      seeded from them.  Returns the tuples each derived predicate
+      gained, in derivation order (an inserted tuple of a predicate the
+      program also derives counts as gained) — exactly the difference
+      between the new and old least models, since negation-free
+      programs are monotone.  Empty list: the update provably changed no
+      derived fact. *)
   val advance :
     state ->
     edb_delta:(string * Ssd.Label.t list list) list ->

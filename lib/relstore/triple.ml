@@ -48,11 +48,12 @@ let to_graph ~edges ~root =
   Graph.Builder.set_root b root_node;
   Graph.gc (Graph.Builder.finish b)
 
+(* One [Int] label per node, shared by every row that names it: one box
+   per node in the EDB, not two per edge. *)
 let edb g =
   let g = Graph.eps_eliminate g in
+  let ids = Array.init (Graph.n_nodes g) (fun u -> Label.Int u) in
   let triples =
-    Graph.fold_labeled_edges
-      (fun acc u l v -> [ Label.Int u; l; Label.Int v ] :: acc)
-      [] g
+    Graph.fold_labeled_edges (fun acc u l v -> [ ids.(u); l; ids.(v) ] :: acc) [] g
   in
-  Datalog.edb_of_list [ ("edge", triples); ("root", [ [ Label.Int (Graph.root g) ] ]) ]
+  Datalog.edb_of_list [ ("edge", List.rev triples); ("root", [ [ ids.(Graph.root g) ] ]) ]

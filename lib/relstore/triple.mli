@@ -29,6 +29,9 @@ val root : Ssd.Graph.t -> Relation.t
     wrong. *)
 val to_graph : edges:Relation.t -> root:Relation.t -> Ssd.Graph.t
 
-(** The frozen datalog EDB [edge(src, label, dst)], [root(n)] that
-    {!Datalog.eval} reads; build it once per graph and share it. *)
+(** The datalog EDB [edge(src, label, dst)], [root(n)] that
+    {!Datalog.eval} reads; build it once per graph and share it.  The
+    [edge] rows follow {!Ssd.Graph.fold_labeled_edges} over the
+    ε-eliminated graph, and one [Int] label per node is shared by every
+    row that names it. *)
 val edb : Ssd.Graph.t -> Datalog.edb

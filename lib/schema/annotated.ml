@@ -22,10 +22,7 @@ type t = {
   vindex : Ssd_index.Value_index.t; (* per-label edge histogram *)
 }
 
-(* Annotate from parts the caller already has — the incremental
-   maintainer (lib/incr) keeps the guide and value index current across
-   updates, so only the per-node annotations are re-derived here. *)
-let of_parts g guide ~stats ~vindex =
+let of_guide g guide =
   let n = Dataguide.n_nodes guide in
   let card = Array.init n (fun u -> List.length (Dataguide.targets guide u)) in
   let fmax = Array.make n Label_map.empty in
@@ -47,11 +44,13 @@ let of_parts g guide ~stats ~vindex =
           Label_map.union (fun _ a b -> Some (max a b)) fmax.(u) counts)
       (Dataguide.targets guide u)
   done;
-  { guide; card; fmax; stats; vindex }
-
-let of_guide g guide =
-  of_parts g guide ~stats:(Ssd_index.Stats.compute g)
-    ~vindex:(Ssd_index.Value_index.build g)
+  {
+    guide;
+    card;
+    fmax;
+    stats = Ssd_index.Stats.compute g;
+    vindex = Ssd_index.Value_index.build g;
+  }
 
 let build g = of_guide g (Dataguide.build g)
 let guide t = t.guide

@@ -20,14 +20,6 @@ val build : Ssd.Graph.t -> t
 (** Annotate an already-built guide for the same graph. *)
 val of_guide : Ssd.Graph.t -> Dataguide.t -> t
 
-(** Like {!of_guide}, but reuse catalog statistics and a value index the
-    caller already holds (the incremental maintainer keeps both current
-    across updates, so annotating after a commit skips their full
-    rebuild). *)
-val of_parts :
-  Ssd.Graph.t -> Dataguide.t -> stats:Ssd_index.Stats.t ->
-  vindex:Ssd_index.Value_index.t -> t
-
 val guide : t -> Dataguide.t
 val stats : t -> Ssd_index.Stats.t
 

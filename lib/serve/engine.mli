@@ -19,7 +19,7 @@
     it.  A [QUERY] reads the current snapshot with one atomic load and
     takes no writer lock, so it never waits behind an [UPDATE]'s
     commit.  Each snapshot also memoizes what readers derive from its
-    graph: its frozen, columnar datalog EDB ({!Relstore.Datalog.edb}),
+    graph: its frozen datalog EDB ({!Relstore.Datalog.edb}),
     built by the first datalog reader of that version — a [QUERY], a
     [SUBSCRIBE], or an [UPDATE] re-preparing datalog subscriptions —
     in a [datalog.base] span counted by [datalog.base.builds], and

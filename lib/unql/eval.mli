@@ -67,7 +67,7 @@ val eval_outcome :
   Ssd.Graph.t Ssd.Budget.outcome
 
 (** [eval] followed by tree extraction.
-    @raise Ssd.Graph.Cyclic if the result is cyclic. *)
+    @raise Ssd_diag.Fail (code SSD007) if the result is cyclic. *)
 val eval_tree :
   ?options:options -> ?budget:Ssd.Budget.t -> db:Ssd.Graph.t -> Ast.expr -> Ssd.Tree.t
 

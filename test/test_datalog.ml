@@ -127,6 +127,34 @@ let cyclic_graph_reachability () =
   let n = List.length (Datalog.query ~edb:(Triple.edb g) program "reach") in
   check_int "terminates on cycles, finds all" (Graph.n_nodes (Graph.eps_eliminate g)) n
 
+(* The order contract: a scan and a probe of a bound position both list
+   rows in first-insertion order, so a rule reading one relation derives
+   in that order; [Triple.edb] inserts [edge] rows in
+   [Graph.fold_labeled_edges] order of the ε-eliminated graph. *)
+let insertion_order () =
+  let i = Label.int in
+  let rows = [ [ i 5; i 2 ]; [ i 3; i 2 ]; [ i 5; i 7 ]; [ i 5; i 1 ]; [ i 7; i 4 ]; [ i 5; i 8 ] ] in
+  (* a repeated row keeps its first place *)
+  let edb = Datalog.edb_of_list [ ("r", rows @ [ [ i 5; i 7 ] ]); ("k", [ [ i 5 ] ]) ] in
+  let query src pred = Datalog.query ~edb (Datalog.parse src) pred in
+  check "scan lists rows in insertion order" true (query "s(?X, ?Y) :- r(?X, ?Y)." "s" = rows);
+  let fives = [ [ i 2 ]; [ i 7 ]; [ i 1 ]; [ i 8 ] ] in
+  check "probe on a constant lists rows in insertion order" true
+    (query "p(?Y) :- r(5, ?Y)." "p" = fives);
+  check "probe on a bound variable lists rows in insertion order" true
+    (query "q(?Y) :- k(?X), r(?X, ?Y)." "q" = fives);
+  let g = Ssd.Syntax.parse_graph "&r {a: {b: *r, c: 1}, a: &s {b: 2}, d: *s, e: *r}" in
+  let g' = Graph.eps_eliminate g in
+  let edges =
+    Graph.fold_labeled_edges (fun acc u l v -> [ Label.Int u; l; Label.Int v ] :: acc) [] g'
+    |> List.rev
+    |> List.fold_left (fun seen t -> if List.mem t seen then seen else t :: seen) []
+    |> List.rev
+  in
+  check "Triple.edb lists edges in fold_labeled_edges order" true
+    (Datalog.query ~edb:(Triple.edb g) (Datalog.parse "e(?S, ?L, ?D) :- edge(?S, ?L, ?D).") "e"
+    = edges)
+
 (* Programs the shared-EDB property runs in sequence over one EDB; the
    symbol [LBL] stands for a generated label constant. *)
 let edb_programs =
@@ -141,6 +169,9 @@ let edb_programs =
          reach(?Y) :- reach(?X), edge(?X, ?L, ?Y). |};
       {| tc(?X, ?Y) :- edge(?X, ?L, ?Y).
          tc(?X, ?Z) :- tc(?X, ?Y), edge(?Y, ?L, ?Z). |};
+      (* non-linear recursion: two literals read the delta in turn *)
+      {| tc(?X, ?Y) :- edge(?X, ?L, ?Y).
+         tc(?X, ?Z) :- tc(?X, ?Y), tc(?Y, ?Z). |};
       (* negation over edge and root *)
       {| oneway(?X, ?Y) :- edge(?X, ?L, ?Y), not edge(?Y, ?L, ?X).
          src(?X) :- edge(?X, ?L, ?Y).
@@ -206,11 +237,11 @@ let recursive program =
 (* One EDB shared by a sequence of evaluations answers each exactly as
    an EDB built afresh for it: no evaluation writes the EDB (heads naming
    [edge]/[root] included), tuple order and budget outcomes agree.  A
-   complete answer also equals [eval_naive]'s, which reads mutable copies
-   of every EDB predicate: in content, and for a program without
+   complete answer also equals [eval_naive]'s, which shares no relation
+   or matching code with [eval]: in content, and for a program without
    positive recursion (naive's first pass is then semi-naive's round 0)
-   in tuple order too, so the frozen relations enumerate exactly as
-   mutable sets do. *)
+   in tuple order too, so scans and probes enumerate in insertion
+   order. *)
 let shared_edb_is_fresh =
   qtest "shared EDB = fresh EDB, tuple order and budget included" ~count:80
     QCheck2.Gen.(
@@ -245,9 +276,30 @@ let shared_edb_is_fresh =
         ~finally:(fun () -> Ssd_par.Pool.set_default_jobs 1)
         (fun () -> List.for_all same programs))
 
+(* [Incremental.prepare] runs [eval]'s fixpoint: for every negation-free
+   program of the pool, the prepared model is [eval]'s answer exactly,
+   tuple order included, at 1 and at 4 jobs. *)
+let prepare_is_eval =
+  let monotone = List.filter Datalog.Incremental.supported edb_programs in
+  qtest "Incremental.prepare = eval, tuple order included" ~count:60
+    QCheck2.Gen.(pair graph (pair (int_range 0 (List.length monotone - 1)) label))
+    (fun (g, (i, l)) ->
+      let edb = Datalog.edb_of_list (edb_tuples g) in
+      let program = with_label l (List.nth monotone i) in
+      List.for_all
+        (fun jobs ->
+          Ssd_par.Pool.set_default_jobs jobs;
+          Fun.protect
+            ~finally:(fun () -> Ssd_par.Pool.set_default_jobs 1)
+            (fun () ->
+              Datalog.Incremental.result (Datalog.Incremental.prepare ~edb program)
+              = Datalog.eval ~edb program))
+        [ 1; 4 ])
+
 let properties =
   [
     shared_edb_is_fresh;
+    prepare_is_eval;
     qtest "semi-naive = naive on random graphs" ~count:60 graph (fun g ->
         let program =
           Datalog.parse
@@ -298,5 +350,6 @@ let tests =
     Alcotest.test_case "facts and constants" `Quick facts_and_constants;
     Alcotest.test_case "missing predicate is empty" `Quick missing_predicate_is_empty;
     Alcotest.test_case "cyclic graph reachability" `Quick cyclic_graph_reachability;
+    Alcotest.test_case "insertion order" `Quick insertion_order;
   ]
   @ properties

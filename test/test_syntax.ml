@@ -59,10 +59,8 @@ let errors () =
     ]
 
 let cyclic_needs_graph () =
-  check "parse_tree raises on cycles" true
-    (match Syntax.parse_tree "&r {a: *r}" with
-     | exception Graph.Cyclic -> true
-     | _ -> false)
+  Alcotest.(check string) "parse_tree fails on cycles with SSD007" "SSD007@-"
+    (Gen.outcome (fun () -> Syntax.parse_tree "&r {a: *r}"))
 
 let ( ==> ) a b = (not a) || b
 
